@@ -3,23 +3,26 @@
 // ./BENCH_serve.json (DESIGN.md §11).
 //
 // Section 1 — throughput: aggregate scores/sec at 1/2/4/8 reader threads
-// while a writer continuously floods update() and the background publisher
-// rebuilds + swaps snapshots. This is the deployment-shaped claim behind
-// src/serve: because readers score immutable snapshots pinned by one
-// pointer copy (RCU) and hot passwords hit the generation-keyed LRU cache,
-// reader throughput scales with cores even with an active writer. On a
-// single-core host (hardware_concurrency < 2) reader "scaling" degenerates
-// to timing the scheduler, and numbers recorded to BENCH_serve.json would
-// silently poison CI trend tracking — so the bench refuses: it exits 2
-// before measuring and never touches the committed json.
+// against an artifact-backed serving unit while a writer publishes a new
+// snapshot every 10 ms, alternating between two precompiled artifacts (the
+// trained grammar and the same grammar after one batch of accepted
+// registrations — what an OnlineUpdater compaction would publish). This is
+// the deployment-shaped claim behind src/serve: because readers score
+// immutable snapshots pinned by one pointer copy (RCU) and hot passwords
+// hit the generation-keyed LRU cache, reader throughput scales with cores
+// even with an active writer. On a single-core host (hardware_concurrency
+// < 2) reader "scaling" degenerates to timing the scheduler, and numbers
+// recorded to BENCH_serve.json would silently poison CI trend tracking —
+// so the bench refuses: it exits 2 before measuring and never touches the
+// committed json.
 //
 // Section 2 — latency: one reader issues scoreBatch() calls at batch sizes
-// {1, 64, 512} against the same update-flooded service and records every
+// {1, 64, 512} against the same publish-churned unit and records every
 // call's wall time. Requests are occurrence-weighted draws from the
 // synthesized leak, so popularity is Zipf-shaped like real registration
 // traffic (hot head -> cache hits, long tail -> full parses). Reported
-// p50/p95/p99 are per-call latencies; QPS counts passwords, not calls.
-// Batch size 1 doubles as the single-password SLO baseline.
+// p50/p95/p99 are nearest-rank per-call latencies; QPS counts passwords,
+// not calls. Batch size 1 doubles as the single-password SLO baseline.
 //
 // Usage: bench_serve_throughput [scale] [duration-ms]
 //   scale        fraction of the paper's dataset sizes (bench_common.h)
@@ -35,9 +38,11 @@
 #include <thread>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "bench_common.h"
 #include "core/fuzzy_psm.h"
-#include "serve/meter_service.h"
+#include "serve/tenant_meter.h"
+#include "stats/rank.h"
 #include "util/format.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -53,34 +58,37 @@ struct MixedRun {
   double cacheHitRate = 0.0;
 };
 
-/// Shared update flood: a steady stream of accepted registrations. The
-/// short sleep models inter-arrival time and keeps the writer from
-/// monopolizing a core — the contention of interest is snapshot publish
-/// vs read, not writer CPU burn.
-std::thread startWriter(MeterService& service,
-                        const std::vector<std::string>& pool,
+/// The two grammars the writer alternates between.
+struct Generations {
+  std::shared_ptr<const GrammarArtifact> trained;
+  std::shared_ptr<const GrammarArtifact> updated;
+};
+
+/// Shared publish churn: every 10 ms the writer swaps the served grammar.
+/// Both artifacts are compiled up front, so the contention of interest is
+/// snapshot publish (and the cache invalidation it causes) vs read, not
+/// writer CPU burn.
+std::thread startWriter(MeterService& service, const Generations& gens,
                         std::atomic<bool>& stop) {
   return std::thread([&] {
-    Rng rng(7777);
-    while (!stop.load(std::memory_order_acquire)) {
-      for (int i = 0; i < 8; ++i) {
-        service.update(pool[rng.below(pool.size())], 1);
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      service.publishFromArtifact(i % 2 == 0 ? gens.updated : gens.trained);
     }
   });
 }
 
-MixedRun runMixedTraffic(const FuzzyPsm& grammar,
+MeterServiceConfig servingConfig() {
+  MeterServiceConfig cfg;
+  cfg.cacheCapacity = 8192;
+  return cfg;
+}
+
+MixedRun runMixedTraffic(const Generations& gens,
                          const std::vector<std::string>& pool,
                          unsigned readerThreads,
                          std::chrono::milliseconds duration) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = true;
-  cfg.publishInterval = std::chrono::milliseconds(10);
-  cfg.cacheCapacity = 8192;
-  MeterService service(grammar, cfg);
-  const std::uint64_t publishesBefore = service.stats().publishes;
+  MeterService service(gens.trained, servingConfig());
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> totalScores{0};
@@ -97,7 +105,7 @@ MixedRun runMixedTraffic(const FuzzyPsm& grammar,
       totalScores.fetch_add(local, std::memory_order_relaxed);
     });
   }
-  std::thread writer = startWriter(service, pool, stop);
+  std::thread writer = startWriter(service, gens, stop);
 
   const auto start = std::chrono::steady_clock::now();
   std::this_thread::sleep_for(duration);
@@ -112,7 +120,7 @@ MixedRun runMixedTraffic(const FuzzyPsm& grammar,
   run.scores = totalScores.load();
   run.scoresPerSec = static_cast<double>(run.scores) / secs;
   const auto stats = service.stats();
-  run.publishes = stats.publishes - publishesBefore;
+  run.publishes = stats.publishes;
   run.cacheHitRate = stats.cache.hitRate();
   return run;
 }
@@ -127,25 +135,14 @@ struct LatencyRun {
   double cacheHitRate = 0.0;
 };
 
-/// Nearest-rank percentile over the sorted sample (q in [0, 1]).
-double percentileUs(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(q * sorted.size());
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
-
-LatencyRun runBatchLatency(const FuzzyPsm& grammar,
+LatencyRun runBatchLatency(const Generations& gens,
                            const std::vector<std::string>& pool,
                            std::size_t batchSize,
                            std::chrono::milliseconds duration) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = true;
-  cfg.publishInterval = std::chrono::milliseconds(10);
-  cfg.cacheCapacity = 8192;
-  MeterService service(grammar, cfg);
+  MeterService service(gens.trained, servingConfig());
 
   std::atomic<bool> stop{false};
-  std::thread writer = startWriter(service, pool, stop);
+  std::thread writer = startWriter(service, gens, stop);
 
   Rng rng(2024);
   std::vector<std::string> request(batchSize);
@@ -176,9 +173,9 @@ LatencyRun runBatchLatency(const FuzzyPsm& grammar,
   LatencyRun run;
   run.batchSize = batchSize;
   run.calls = latenciesUs.size();
-  run.p50us = percentileUs(latenciesUs, 0.50);
-  run.p95us = percentileUs(latenciesUs, 0.95);
-  run.p99us = percentileUs(latenciesUs, 0.99);
+  run.p50us = nearestRankPercentile(latenciesUs, 0.50);
+  run.p95us = nearestRankPercentile(latenciesUs, 0.95);
+  run.p99us = nearestRankPercentile(latenciesUs, 0.99);
   run.qps = static_cast<double>(scored) / secs;
   run.cacheHitRate = service.stats().cache.hitRate();
   return run;
@@ -235,6 +232,13 @@ int main(int argc, char** argv) {
     pool.emplace_back(traffic.sampleOccurrence(poolRng));
   }
 
+  // The second generation folds one batch of accepted registrations (the
+  // traffic pool itself) into the trained counts.
+  FuzzyPsm updated = psm;
+  for (const auto& pw : pool) updated.update(pw);
+  const Generations gens{GrammarArtifact::fromBytes(compileArtifact(psm)),
+                         GrammarArtifact::fromBytes(compileArtifact(updated))};
+
   std::printf(
       "duration per configuration: %lld ms, writer active: yes, "
       "simd: %s, hardware threads: %u\n\n",
@@ -246,7 +250,7 @@ int main(int argc, char** argv) {
                    "Cache hit rate"});
   double baseline = 0.0;
   for (const unsigned readers : {1u, 2u, 4u, 8u}) {
-    const MixedRun run = runMixedTraffic(psm, pool, readers, duration);
+    const MixedRun run = runMixedTraffic(gens, pool, readers, duration);
     if (readers == 1) baseline = run.scoresPerSec;
     mixed.emplace_back(readers, run);
     table.addRow({std::to_string(readers),
@@ -265,7 +269,7 @@ int main(int argc, char** argv) {
                  "Passwords/sec", "Cache hit rate"});
   for (const std::size_t batchSize :
        {std::size_t{1}, std::size_t{64}, std::size_t{512}}) {
-    const LatencyRun run = runBatchLatency(psm, pool, batchSize, duration);
+    const LatencyRun run = runBatchLatency(gens, pool, batchSize, duration);
     latency.push_back(run);
     slo.addRow({std::to_string(run.batchSize), fmtCount(run.calls),
                 fmtDouble(run.p50us, 1), fmtDouble(run.p95us, 1),

@@ -43,6 +43,7 @@
 #include "bench_common.h"
 #include "core/fuzzy_psm.h"
 #include "registry/grammar_registry.h"
+#include "stats/rank.h"
 #include "util/format.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -58,13 +59,6 @@ struct Tenant {
   std::string trainService;
   std::vector<std::string> pool;  ///< occurrence-weighted request draws
 };
-
-/// Nearest-rank percentile over a sorted sample (q in [0, 1]).
-double percentileUs(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(q * sorted.size());
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
 
 struct RoutedRun {
   std::uint64_t scores = 0;
@@ -170,9 +164,9 @@ EvictionRun runEvictionPressure(GrammarRegistry& registry,
   }
   std::sort(coldUs.begin(), coldUs.end());
   std::sort(warmUs.begin(), warmUs.end());
-  run.coldP50us = percentileUs(coldUs, 0.50);
-  run.coldP95us = percentileUs(coldUs, 0.95);
-  run.warmP50us = percentileUs(warmUs, 0.50);
+  run.coldP50us = nearestRankPercentile(coldUs, 0.50);
+  run.coldP95us = nearestRankPercentile(coldUs, 0.95);
+  run.warmP50us = nearestRankPercentile(warmUs, 0.50);
   run.stats = registry.stats();
   return run;
 }

@@ -24,8 +24,8 @@
 // Wire-in points:
 //   * `fuzzypsm lint-grammar` (tools/fuzzypsm_cli.cpp): exit code = worst
 //     severity, human or --json output;
-//   * GrammarSnapshot::fromArtifact / MeterService: a mandatory pre-publish
-//     gate (override: MeterServiceConfig::lintArtifacts, or the `lint`
+//   * GrammarSnapshot::fromArtifact / TenantMeter: a mandatory pre-publish
+//     gate (override: TenantMeterConfig::lintArtifacts, or the `lint`
 //     parameter for tooling) — a bad train run is rejected before it
 //     reaches readers;
 //   * FPSM_CHECK/FPSM_DCHECK (util/check.h) cover the per-access runtime

@@ -174,10 +174,6 @@ void FuzzyPsm::strengthBitsBatch(const std::string_view* pws, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) out[i] = -out[i];
 }
 
-void FuzzyPsm::warmCaches() const {
-  counts_.warmCaches();
-}
-
 std::string FuzzyPsm::sample(Rng& rng) const {
   if (!trained()) throw NotTrained("FuzzyPsm: not trained");
   // Sample a derivation, render it, and accept only when the rendered

@@ -138,16 +138,6 @@ class FuzzyPsm : public ProbabilisticModel {
   /// transformation decisions). Measuring is derivationLog2Prob(parse(pw)).
   double derivationLog2Prob(const FuzzyParse& parse) const;
 
-  // --- snapshot export ----------------------------------------------------
-  /// Forces every lazily-built internal cache (the sorted/cumulative views
-  /// of the structure and segment tables). After this call, all const
-  /// scoring/sampling entry points are physically read-only, so a copy of
-  /// this object can be shared across threads without synchronization as
-  /// long as no non-const method runs. The serving layer
-  /// (src/serve/grammar_snapshot.h) freezes copies this way before
-  /// publishing them to concurrent readers.
-  void warmCaches() const;
-
   // --- serialization -----------------------------------------------------
   /// Writes the full grammar (base words, counts, config) as text.
   void save(std::ostream& out) const;

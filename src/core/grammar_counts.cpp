@@ -63,12 +63,4 @@ std::vector<std::size_t> GrammarCounts::segmentLengths() const {
   return lengths;
 }
 
-void GrammarCounts::warmCaches() const {
-  (void)structures_.sortedDesc();
-  for (const auto& [len, table] : segments_) {
-    (void)len;
-    (void)table.sortedDesc();
-  }
-}
-
 }  // namespace fpsm

@@ -71,10 +71,6 @@ class GrammarCounts {
   }
   std::uint64_t trainedPasswords() const { return trainedPasswords_; }
 
-  /// Forces the lazily-built sorted/cumulative views of every table so all
-  /// subsequent const access is physically read-only (snapshot freezing).
-  void warmCaches() const;
-
  private:
   // The deserializers (FuzzyPsm::load and the .fpsmb reader in
   // src/artifact/binary_io.cpp, which is a FuzzyPsm member) restore raw

@@ -19,8 +19,6 @@ constexpr const char* kCounterNames[] = {
     "serve.cache.stale_evictions",
     "serve.cache.capacity_evictions",
     "serve.cache.inserts",
-    "serve.update.accepted",
-    "serve.update.invalid",
     "serve.publish.count",
     "serve.publish.artifact_rollouts",
     "serve.publish.snapshots_retired",

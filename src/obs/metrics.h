@@ -55,8 +55,6 @@ enum class Counter : std::uint16_t {
   ServeCacheStaleEvictions,   // serve.cache.stale_evictions
   ServeCacheCapacityEvictions,  // serve.cache.capacity_evictions
   ServeCacheInserts,          // serve.cache.inserts
-  ServeUpdatesAccepted,       // serve.update.accepted
-  ServeUpdatesInvalid,        // serve.update.invalid
   ServePublishes,             // serve.publish.count
   ServeArtifactRollouts,      // serve.publish.artifact_rollouts
   ServeSnapshotsRetired,      // serve.publish.snapshots_retired

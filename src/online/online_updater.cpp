@@ -14,19 +14,6 @@
 
 namespace fpsm {
 
-namespace {
-
-MeterServiceConfig servingConfig(const OnlineUpdaterConfig& config) {
-  MeterServiceConfig sc = config.serviceConfig;
-  // The updater owns the publish cadence: every served generation must be
-  // a log-backed artifact, so MeterService's own fold-and-publish thread
-  // stays off (it would publish grammars the log has never seen).
-  sc.backgroundPublisher = false;
-  return sc;
-}
-
-}  // namespace
-
 std::unique_ptr<OnlineUpdater> OnlineUpdater::bootstrap(
     const FuzzyPsm& trained, const std::string& directory,
     OnlineUpdaterConfig config) {
@@ -42,11 +29,8 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::bootstrap(
   const std::vector<std::byte> bytes = compileArtifact(trained);
   const std::uint64_t seq = log.append(bytes.data(), bytes.size());
   auto artifact = GrammarArtifact::open(log.pathFor(seq));
-  auto service =
-      std::make_unique<MeterService>(std::move(artifact),
-                                     servingConfig(config));
   return std::unique_ptr<OnlineUpdater>(
-      new OnlineUpdater(std::move(log), trained, nullptr, std::move(service),
+      new OnlineUpdater(std::move(log), trained, nullptr, std::move(artifact),
                         seq, std::move(config)));
 }
 
@@ -92,11 +76,9 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::resume(
     // artifact directly, and the cumulative counts are rebuilt from the
     // same artifact only when the first compaction needs them. This keeps
     // resume() — the GrammarRegistry's cold-load path — at mmap cost.
-    auto service =
-        std::make_unique<MeterService>(artifact, servingConfig(config));
     return std::unique_ptr<OnlineUpdater>(
-        new OnlineUpdater(std::move(log), FuzzyPsm(), std::move(artifact),
-                          std::move(service), seq, std::move(config)));
+        new OnlineUpdater(std::move(log), FuzzyPsm(), artifact, artifact,
+                          seq, std::move(config)));
   }
   throw GenerationLogError(
       GenerationLogErrorCode::NoSuchSequence,
@@ -105,23 +87,16 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::resume(
 
 OnlineUpdater::OnlineUpdater(GenerationLog log, FuzzyPsm base,
                              std::shared_ptr<const GrammarArtifact> deferredBase,
-                             std::unique_ptr<MeterService> service,
+                             std::shared_ptr<const GrammarArtifact> served,
                              std::uint64_t servedSequence,
                              OnlineUpdaterConfig config)
     : config_(std::move(config)),
       log_(std::move(log)),
       base_(std::move(base)),
       baseArtifact_(std::move(deferredBase)),
-      service_(std::move(service)),
+      service_(std::move(served), config_.serviceConfig),
       shards_(config_.deltaShards == 0 ? 1 : config_.deltaShards) {
   lastSequence_.store(servedSequence, std::memory_order_relaxed);
-  // Fold the in-process update path onto the durable loop: update() on the
-  // served MeterService now routes into accept(), so there is exactly one
-  // update pipeline and every published generation is log-backed. Installed
-  // before any caller can reach service(), so no update can slip into the
-  // service's internal queue.
-  service_->setUpdateSink(
-      [this](std::string_view pw, std::uint64_t n) { accept(pw, n); });
   if (config_.backgroundCompactor) {
     compactor_ = std::thread([this] { compactorLoop(); });
   }
@@ -131,10 +106,6 @@ OnlineUpdater::~OnlineUpdater() {
   stopping_.store(true, std::memory_order_release);
   wakeCv_.notifyAll();
   if (compactor_.joinable()) compactor_.join();
-  // The service outlives this destructor body (it is a member), but its
-  // sink closes over `this` — detach it so a stray late update() cannot
-  // call into a half-destroyed updater.
-  service_->setUpdateSink(nullptr);
 }
 
 void OnlineUpdater::accept(std::string_view pw, std::uint64_t n) {
@@ -232,10 +203,10 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
     }
     if (config_.publishGate) config_.publishGate(artifact->grammar());
     gateSpan.stop();
-    // Gate 3: the RCU flip (MeterService re-lints under its own config;
+    // Gate 3: the RCU flip (TenantMeter re-lints under its own config;
     // readers never observe a grammar that failed either gate).
     obs::StageTimer publishSpan(obs::Histo::OnlineCompactPublish);
-    res.generation = service_->publishFromArtifact(std::move(artifact));
+    res.generation = service_.publishFromArtifact(std::move(artifact));
     res.published = true;
     base_.absorbCounts(delta);
     published_.fetch_add(1, std::memory_order_relaxed);

@@ -1,11 +1,10 @@
 // OnlineUpdater — the streaming adaptive-update loop (DESIGN.md §12).
 //
-// MeterService already implements the paper's update phase in-process:
-// accepted passwords fold into the served grammar at the next publish.
-// What it does not give is *durability* or *auditability* — kill the
-// process and every fold since the last batch retrain is gone, and no
-// record exists of which grammar was serving when. OnlineUpdater closes
-// that gap by driving MeterService through a GenerationLog:
+// The paper's update phase folds accepted passwords back into the grammar.
+// OnlineUpdater is the only way a served grammar changes: it drives a
+// TenantMeter through a GenerationLog, so every fold is durable (kill the
+// process and the log still holds every published generation) and
+// auditable (the log records which grammar was serving when):
 //
 //   accept()     validates the password and appends it to one of
 //                deltaShards UpdateQueues, picked by password hash. The
@@ -21,7 +20,7 @@
 //
 //                   gate 1  GrammarArtifact::open — byte-level validation
 //                   gate 2  GrammarValidator lint — semantic validation
-//                   gate 3  MeterService::publishFromArtifact — RCU flip
+//                   gate 3  TenantMeter::publishFromArtifact — RCU flip
 //
 //                Any gate failure rolls back: the cumulative counts were
 //                never touched (the merge happened on a copy), the bad
@@ -47,8 +46,8 @@
 // backwards, serving the first one that passes all gates, and rebuilds
 // the cumulative counts from it. Updates accepted after the served
 // generation's compaction are lost on crash — the queue is volatile by
-// design (bounded loss, same trade MeterService documents); the log bounds
-// the loss to one compaction interval.
+// design (bounded loss); the log bounds the loss to one compaction
+// interval.
 #pragma once
 
 #include <atomic>
@@ -63,7 +62,7 @@
 
 #include "core/fuzzy_psm.h"
 #include "online/generation_log.h"
-#include "serve/meter_service.h"
+#include "serve/tenant_meter.h"
 #include "serve/update_queue.h"
 #include "train/sharded_trainer.h"
 #include "util/mutex.h"
@@ -102,11 +101,8 @@ struct OnlineUpdaterConfig {
   /// hooks (canary scoring, external policy) and the test suite's
   /// deterministic rejection injection both plug in here.
   std::function<void(const FlatGrammarView&)> publishGate;
-  /// Serving configuration. backgroundPublisher is forced off: the
-  /// updater owns the publish cadence (every publish is a log-backed
-  /// generation), so an independent in-process publisher would fork the
-  /// served grammar away from the durable log.
-  MeterServiceConfig serviceConfig{};
+  /// Serving configuration of the TenantMeter the updater publishes to.
+  TenantMeterConfig serviceConfig{};
 };
 
 class OnlineUpdater {
@@ -114,7 +110,7 @@ class OnlineUpdater {
   /// Outcome of one compaction cycle.
   struct CompactionResult {
     std::uint64_t sequence = 0;    ///< log sequence written (0 = no-op)
-    std::uint64_t generation = 0;  ///< MeterService generation published
+    std::uint64_t generation = 0;  ///< TenantMeter generation published
     std::uint64_t folded = 0;      ///< occurrences drained into the batch
     bool published = false;        ///< false: empty batch, or rolled back
     std::string rejection;         ///< gate failure message when rolled back
@@ -155,10 +151,7 @@ class OnlineUpdater {
 
   /// The serve path's update hook: validates and enqueues n occurrences of
   /// an accepted password. Never blocks on compaction; throws
-  /// InvalidArgument on malformed passwords. MeterService::update() on the
-  /// underlying service routes here too (the updater installs itself as
-  /// the service's update sink), so the in-process and durable update
-  /// paths are one path.
+  /// InvalidArgument on malformed passwords.
   void accept(std::string_view pw, std::uint64_t n = 1)
       FPSM_EXCLUDES(compactionMutex_);
 
@@ -168,12 +161,10 @@ class OnlineUpdater {
   /// serving. Filesystem failures (GenerationLogError) do propagate.
   CompactionResult compactNow() FPSM_EXCLUDES(compactionMutex_);
 
-  /// Scoring surface: the underlying service. Scores always come from the
-  /// newest published (log-backed) generation.
-  const MeterService& service() const FPSM_NO_CAPABILITY {
-    return *service_;
-  }
-  MeterService& service() FPSM_NO_CAPABILITY { return *service_; }
+  /// Scoring surface: the underlying serving unit. Scores always come from
+  /// the newest published (log-backed) generation.
+  const TenantMeter& service() const FPSM_NO_CAPABILITY { return service_; }
+  TenantMeter& service() FPSM_NO_CAPABILITY { return service_; }
 
   /// The artifact log backing this updater. Read-only inspection surface
   /// for tests and the CLI; log_ itself is guarded by compactionMutex_,
@@ -192,9 +183,10 @@ class OnlineUpdater {
   Stats stats() const FPSM_NO_CAPABILITY;
 
  private:
+  /// Serves `served` (the artifact of log sequence `servedSequence`).
   OnlineUpdater(GenerationLog log, FuzzyPsm base,
                 std::shared_ptr<const GrammarArtifact> deferredBase,
-                std::unique_ptr<MeterService> service,
+                std::shared_ptr<const GrammarArtifact> served,
                 std::uint64_t servedSequence, OnlineUpdaterConfig config);
 
   void compactorLoop() FPSM_EXCLUDES(compactionMutex_);
@@ -217,7 +209,7 @@ class OnlineUpdater {
   std::shared_ptr<const GrammarArtifact> baseArtifact_
       FPSM_GUARDED_BY(compactionMutex_) FPSM_PT_GUARDED_BY(compactionMutex_);
 
-  std::unique_ptr<MeterService> service_;  // internally synchronized
+  TenantMeter service_;  // internally synchronized
 
   // Accept path. Sized at construction, never resized (UpdateQueue is
   // immovable and internally locked).

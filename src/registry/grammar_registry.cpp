@@ -399,7 +399,6 @@ std::vector<GrammarRegistry::TenantInfo> GrammarRegistry::tenants() const {
           state->routedUpdates.load(std::memory_order_relaxed);
       info.coldLoads = state->coldLoads.load(std::memory_order_relaxed);
       info.evictions = state->evictions.load(std::memory_order_relaxed);
-      info.logGenerations = countGenerationFiles(state->directory);
       const TenantRoute* route =
           table == nullptr ? nullptr : findRoute(*table, id);
       if (route != nullptr) {
@@ -410,6 +409,11 @@ std::vector<GrammarRegistry::TenantInfo> GrammarRegistry::tenants() const {
       }
       infos.push_back(std::move(info));
     }
+  }
+  // The directory scans run after the lock is released so listing never
+  // waits behind, or holds up, a cold load.
+  for (TenantInfo& info : infos) {
+    info.logGenerations = countGenerationFiles(info.directory);
   }
   std::sort(infos.begin(), infos.end(),
             [](const TenantInfo& a, const TenantInfo& b) { return a.id < b.id; });

@@ -13,8 +13,8 @@
 //   <root>/<tenant>/gen-000002.fpsmb ...
 //
 // Each tenant's full serving unit — TenantMeter (RCU snapshot, score
-// cache, update queue) plus OnlineUpdater (sharded accept queues,
-// compaction, the generation log) — is owned behind a routing table:
+// cache) plus OnlineUpdater (sharded accept queues, compaction, the
+// generation log) — is owned behind a routing table:
 //
 //   read path    score()/scoreBatch()/update() pin the RCU-published
 //                RoutingTable (registry/tenant_route.h, lock-free by
@@ -40,7 +40,7 @@
 //
 // Invariants (tested by tests/registry_test.cpp):
 //   * Bit-identical scores: a tenant served through the registry scores
-//     exactly like a standalone MeterService over the same artifact —
+//     exactly like a standalone TenantMeter over the same artifact —
 //     including after an evict→reload cycle and after a compaction.
 //   * No serving gap: concurrent scoreBatch during evict/reload always
 //     completes against one consistent snapshot of one generation.

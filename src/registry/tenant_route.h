@@ -72,7 +72,7 @@ struct TenantRuntime {
 };
 
 /// One resolved route: the tenant's control record plus its live serving
-/// unit (an OnlineUpdater wrapping a MeterService/TenantMeter and the
+/// unit (an OnlineUpdater wrapping a TenantMeter and the
 /// tenant's GenerationLog). Copying a route pins both alive.
 struct TenantRoute {
   std::shared_ptr<TenantRuntime> runtime;

@@ -7,22 +7,9 @@
 
 namespace fpsm {
 
-GrammarSnapshot::GrammarSnapshot(FuzzyPsm grammar, std::uint64_t generation)
-    : grammar_(std::move(grammar)), generation_(generation) {
-  grammar_.warmCaches();
-}
-
 GrammarSnapshot::GrammarSnapshot(
     std::shared_ptr<const GrammarArtifact> artifact, std::uint64_t generation)
     : artifact_(std::move(artifact)), generation_(generation) {}
-
-std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::freeze(
-    const FuzzyPsm& grammar, std::uint64_t generation) {
-  // Not make_shared: the constructor is private, and a standalone control
-  // block keeps the (large) grammar deallocatable independent of weak refs.
-  return std::shared_ptr<const GrammarSnapshot>(
-      new GrammarSnapshot(grammar, generation));
-}
 
 std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::fromArtifact(
     std::shared_ptr<const GrammarArtifact> artifact,
@@ -38,17 +25,9 @@ std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::fromArtifact(
     LintReport report = GrammarValidator(lintOptions).lint(artifact->grammar());
     if (!report.ok()) throw GrammarLintError(std::move(report));
   }
+  // Not make_shared: the constructor is private.
   return std::shared_ptr<const GrammarSnapshot>(
       new GrammarSnapshot(std::move(artifact), generation));
-}
-
-const FuzzyPsm& GrammarSnapshot::grammar() const {
-  if (artifact_) {
-    throw Error(
-        "GrammarSnapshot::grammar: artifact-backed snapshot holds no "
-        "materialized FuzzyPsm");
-  }
-  return grammar_;
 }
 
 }  // namespace fpsm

@@ -1,25 +1,17 @@
-// Immutable, generation-stamped view of a trained fuzzy grammar.
+// Immutable, generation-stamped view of a compiled grammar artifact.
 //
-// A snapshot comes in two flavors behind one scoring surface:
+// A snapshot is a zero-copy FlatGrammarView over a validated .fpsmb buffer
+// (typically an mmap'd generation file) plus the generation number it was
+// published under. No deep copy is made; the snapshot pins the
+// GrammarArtifact alive, and every score is a read of the mapped bytes.
 //
-//   * owned    — a frozen deep copy of a FuzzyPsm (freeze()): structures,
-//                segment tables, transformation counters, and the
-//                base-dictionary tries. Freezing warms every lazily-built
-//                cache inside the grammar (FuzzyPsm::warmCaches), after
-//                which every scoring entry point is physically read-only.
-//   * artifact — a zero-copy FlatGrammarView over a validated .fpsmb
-//                buffer (fromArtifact()), typically an mmap'd file. No
-//                deep copy is made; the snapshot pins the GrammarArtifact
-//                alive. Scores are bit-identical to the owned flavor by
-//                the artifact format's differential-test contract.
-//
-// Either way the snapshot is immutable, so one snapshot can be scored by
-// any number of threads with no locking at all. This is the ownership
-// model Chromium uses for zxcvbn's frequency lists: build read-optimized
-// data once, hand `const` access to the hot path.
+// The snapshot is immutable, so one snapshot can be scored by any number
+// of threads with no locking at all. This is the ownership model Chromium
+// uses for zxcvbn's frequency lists: build read-optimized data once, hand
+// `const` access to the hot path.
 //
 // Snapshots are published to readers through an RcuPtr (util/rcu_ptr.h)
-// inside MeterService; the generation number orders publishes and keys the
+// inside TenantMeter; the generation number orders publishes and keys the
 // score cache so a cached score can never outlive the grammar it was
 // computed from.
 //
@@ -35,21 +27,14 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <utility>
 
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
-#include "core/fuzzy_psm.h"
 
 namespace fpsm {
 
 class GrammarSnapshot {
  public:
-  /// Freezes a copy of `grammar` stamped with `generation`. The copy's
-  /// caches are warmed eagerly so all subsequent const access is read-only.
-  static std::shared_ptr<const GrammarSnapshot> freeze(
-      const FuzzyPsm& grammar, std::uint64_t generation);
-
   /// Wraps a validated artifact without copying it: scoring runs directly
   /// on the (possibly memory-mapped) flat grammar. The artifact is kept
   /// alive for the snapshot's lifetime.
@@ -61,7 +46,7 @@ class GrammarSnapshot {
   /// report — on any Error-severity diagnostic. `lint = false` is the
   /// tooling override for inspecting known-bad grammars. `lintOptions`
   /// configures the gate (tolerances, spot-check stride) so publishers —
-  /// MeterService, the online updater — audit with one policy end to end.
+  /// TenantMeter, the online updater — audit with one policy end to end.
   static std::shared_ptr<const GrammarSnapshot> fromArtifact(
       std::shared_ptr<const GrammarArtifact> artifact,
       std::uint64_t generation, bool lint = true,
@@ -71,62 +56,30 @@ class GrammarSnapshot {
   std::uint64_t generation() const { return generation_; }
 
   // Synchronization-free scoring surface (safe from any number of threads).
-  double log2Prob(std::string_view pw) const {
-    return artifact_ ? artifact_->grammar().log2Prob(pw)
-                     : grammar_.log2Prob(pw);
-  }
+  double log2Prob(std::string_view pw) const { return view().log2Prob(pw); }
   double strengthBits(std::string_view pw) const {
-    return artifact_ ? artifact_->grammar().strengthBits(pw)
-                     : grammar_.strengthBits(pw);
+    return view().strengthBits(pw);
   }
   /// Batch scoring against this one snapshot: out[i] is bit-identical to
-  /// strengthBits(pws[i]). Both flavors route to their grammar's batch
-  /// path (shared parser + SIMD-kernel ParseScratch per call); like all
-  /// scoring entry points it is synchronization-free and safe from any
-  /// number of threads.
+  /// strengthBits(pws[i]) (shared parser + SIMD-kernel ParseScratch per
+  /// call; see FlatGrammarView::log2ProbBatch).
   void strengthBitsBatch(const std::string_view* pws, std::size_t n,
                          double* out) const {
-    if (artifact_) {
-      artifact_->grammar().strengthBitsBatch(pws, n, out);
-    } else {
-      grammar_.strengthBitsBatch(pws, n, out);
-    }
+    view().strengthBitsBatch(pws, n, out);
   }
-  FuzzyParse parse(std::string_view pw) const {
-    return artifact_ ? artifact_->grammar().parse(pw) : grammar_.parse(pw);
-  }
-  bool trained() const {
-    return artifact_ ? artifact_->grammar().trained() : grammar_.trained();
-  }
-  std::uint64_t trainedPasswords() const {
-    return artifact_ ? artifact_->grammar().trainedPasswords()
-                     : grammar_.trainedPasswords();
-  }
-
-  /// True for artifact-backed (zero-copy) snapshots.
-  bool artifactBacked() const { return artifact_ != nullptr; }
+  FuzzyParse parse(std::string_view pw) const { return view().parse(pw); }
+  bool trained() const { return view().trained(); }
 
   /// Bytes the snapshot keeps resident for serving: the backing artifact's
-  /// size for artifact-backed snapshots, 0 for owned ones (a frozen
-  /// FuzzyPsm has no byte-exact size; the registry's resident-bytes budget
-  /// only tracks artifact-backed tenants, which is all it ever loads).
-  std::uint64_t residentBytes() const {
-    return artifact_ ? static_cast<std::uint64_t>(artifact_->sizeBytes())
-                     : 0;
-  }
-
-  /// Read-only access to the full grammar (introspection, enumeration).
-  /// Const methods only — the snapshot's immutability is the thread-safety
-  /// contract. Only valid for owned snapshots; throws Error when
-  /// artifactBacked() (materialize with FuzzyPsm::fromArtifact instead).
-  const FuzzyPsm& grammar() const;
+  /// size. The registry's resident-bytes budget sums this.
+  std::uint64_t residentBytes() const { return artifact_->sizeBytes(); }
 
  private:
-  GrammarSnapshot(FuzzyPsm grammar, std::uint64_t generation);
   GrammarSnapshot(std::shared_ptr<const GrammarArtifact> artifact,
                   std::uint64_t generation);
 
-  FuzzyPsm grammar_;  // unused (empty) when artifact_ is set
+  const FlatGrammarView& view() const { return artifact_->grammar(); }
+
   std::shared_ptr<const GrammarArtifact> artifact_;
   std::uint64_t generation_;
 };

@@ -5,56 +5,29 @@
 
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
-#include "train/sharded_trainer.h"
-#include "util/chars.h"
-#include "util/check.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
 namespace fpsm {
 
-TenantMeter::TenantMeter(FuzzyPsm grammar, TenantMeterConfig config)
-    : config_(config),
-      master_(std::move(grammar)),
-      cache_(config.cacheCapacity == 0 ? 1 : config.cacheCapacity,
-             config.cacheShards) {
-  // The lock is uncontended here (no other thread can hold a reference
-  // yet) but scoping the guarded-state access keeps the constructor under
-  // the same proven discipline as every later publish.
-  const MutexLock lock(masterMutex_);
-  if (!master_.trained()) {
-    throw NotTrained("TenantMeter: grammar must be trained before serving");
-  }
-  current_.store(GrammarSnapshot::freeze(master_, 0));
-  if (config_.backgroundPublisher) {
-    publisher_ = std::thread([this] { publisherLoop(); });
-  }
-}
-
 TenantMeter::TenantMeter(std::shared_ptr<const GrammarArtifact> artifact,
                          TenantMeterConfig config)
-    : config_(config),
-      cache_(config.cacheCapacity == 0 ? 1 : config.cacheCapacity,
-             config.cacheShards) {
-  if (!artifact) {
-    throw InvalidArgument("TenantMeter: null artifact");
-  }
-  if (!artifact->grammar().trained()) {
-    throw NotTrained("TenantMeter: artifact grammar must be trained");
-  }
-  const MutexLock lock(masterMutex_);
-  coldArtifact_ = std::move(artifact);
-  current_.store(GrammarSnapshot::fromArtifact(
-      coldArtifact_, 0, config_.lintArtifacts, config_.lintOptions));
-  if (config_.backgroundPublisher) {
-    publisher_ = std::thread([this] { publisherLoop(); });
-  }
+    : config_(std::move(config)),
+      cache_(config_.cacheCapacity == 0 ? 1 : config_.cacheCapacity,
+             config_.cacheShards) {
+  current_.store(buildSnapshot(std::move(artifact), 0));
 }
 
-TenantMeter::~TenantMeter() {
-  stopping_.store(true, std::memory_order_release);
-  queue_.wake();
-  if (publisher_.joinable()) publisher_.join();
+std::shared_ptr<const GrammarSnapshot> TenantMeter::buildSnapshot(
+    std::shared_ptr<const GrammarArtifact> artifact,
+    std::uint64_t gen) const {
+  if (artifact && !artifact->grammar().trained()) {
+    throw NotTrained("TenantMeter: artifact grammar must be trained");
+  }
+  // fromArtifact rejects a null artifact.
+  return GrammarSnapshot::fromArtifact(std::move(artifact), gen,
+                                       config_.lintArtifacts,
+                                       config_.lintOptions);
 }
 
 TenantMeter::Score TenantMeter::score(std::string_view pw) const {
@@ -136,100 +109,19 @@ std::vector<TenantMeter::Score> TenantMeter::scoreBatch(
   return out;
 }
 
-void TenantMeter::update(std::string_view pw, std::uint64_t n) {
-  if (n == 0) return;
-  try {
-    validatePassword(pw);
-  } catch (...) {
-    obs::count(obs::Counter::ServeUpdatesInvalid);
-    throw;
-  }
-  updateCount_.fetch_add(n, std::memory_order_relaxed);
-  obs::count(obs::Counter::ServeUpdatesAccepted, n);
-  // With a sink installed (OnlineUpdater's durable loop), forward instead
-  // of queueing: the fold then happens at the sink's compaction cadence
-  // and every published generation is log-backed. The pin keeps a
-  // concurrent setUpdateSink(nullptr) from destroying the function while
-  // we call through it.
-  if (const auto sink = updateSink_.load(); sink && *sink) {
-    (*sink)(pw, n);
-    return;
-  }
-  queue_.push(pw, n);
-}
-
-void TenantMeter::setUpdateSink(UpdateSink sink) {
-  if (sink) {
-    updateSink_.store(std::make_shared<const UpdateSink>(std::move(sink)));
-  } else {
-    updateSink_.store(nullptr);
-  }
-}
-
-std::uint64_t TenantMeter::applyAndPublishLocked(
-    const UpdateQueue::Batch& batch) {
+std::uint64_t TenantMeter::publishFromArtifact(
+    std::shared_ptr<const GrammarArtifact> artifact) {
   obs::StageTimer span(obs::Histo::ServePublishLatency);
-  if (coldArtifact_) {
-    // First mutating publish after an artifact cold start / rollout: pay
-    // the one-time materialization now, off the reader path.
-    master_ = FuzzyPsm::fromArtifact(*coldArtifact_);
-    coldArtifact_.reset();
-  }
-  // Count the drained batch as a GrammarCounts delta (sharded when the
-  // batch is large, per ShardedTrainer's worker heuristics) and fold it in
-  // with one merge. Identical counts to looping master_.update() — the
-  // trainer parses against the same dictionary and config — but the parse
-  // work runs off a single lock-holder's critical path and onto all cores.
-  std::vector<Dataset::Entry> entries;
-  entries.reserve(batch.size());
-  for (const auto& [pw, n] : batch) {
-    entries.push_back(Dataset::Entry{pw, n});
-  }
-  master_.absorbCounts(ShardedTrainer(master_).countEntries(entries));
-  // Folding a non-empty batch into a served grammar can never leave it
-  // untrained; publishing an untrained snapshot would make every reader
-  // throw NotTrained, so treat it as corruption rather than continue.
-  FPSM_CHECK(master_.trained());
-  const std::uint64_t gen = nextGeneration_++;
+  const MutexLock lock(publishMutex_);
+  // Build (and lint) the snapshot before touching any service state: a
+  // rejection here must leave the previous grammar serving.
+  const std::uint64_t gen = nextGeneration_;
+  auto snapshot = buildSnapshot(std::move(artifact), gen);
+  ++nextGeneration_;
   // exchange() hands back the displaced snapshot: counting it here is the
   // RCU retire event (readers may still pin it; memory frees when the last
   // reference drops, so retired-vs-published is the reclamation backlog).
-  const auto retired = current_.exchange(GrammarSnapshot::freeze(master_, gen));
-  if (retired) {
-    obs::count(obs::Counter::ServeSnapshotsRetired);
-  }
-  publishCount_.fetch_add(1, std::memory_order_relaxed);
-  obs::count(obs::Counter::ServePublishes);
-  obs::gaugeSet(obs::Gauge::ServeGeneration, static_cast<std::int64_t>(gen));
-  return gen;
-}
-
-std::uint64_t TenantMeter::publishNow() {
-  const MutexLock lock(masterMutex_);
-  const UpdateQueue::Batch batch = queue_.drain();
-  if (batch.empty()) return current_.load()->generation();
-  return applyAndPublishLocked(batch);
-}
-
-std::uint64_t TenantMeter::publishFromArtifact(
-    std::shared_ptr<const GrammarArtifact> artifact) {
-  if (!artifact) {
-    throw InvalidArgument("TenantMeter: null artifact");
-  }
-  if (!artifact->grammar().trained()) {
-    throw NotTrained("TenantMeter: artifact grammar must be trained");
-  }
-  const MutexLock lock(masterMutex_);
-  // Build (and lint) the snapshot before touching any service state: a
-  // GrammarLintError here must leave the previous grammar serving.
-  const std::uint64_t gen = nextGeneration_;
-  auto snapshot = GrammarSnapshot::fromArtifact(
-      artifact, gen, config_.lintArtifacts, config_.lintOptions);
-  ++nextGeneration_;
-  coldArtifact_ = std::move(artifact);
-  master_ = FuzzyPsm();  // release the superseded grammar's memory
-  const auto retired = current_.exchange(std::move(snapshot));
-  if (retired) {
+  if (current_.exchange(std::move(snapshot))) {
     obs::count(obs::Counter::ServeSnapshotsRetired);
   }
   publishCount_.fetch_add(1, std::memory_order_relaxed);
@@ -239,21 +131,9 @@ std::uint64_t TenantMeter::publishFromArtifact(
   return gen;
 }
 
-void TenantMeter::publisherLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const bool pending =
-        queue_.waitFor(config_.publishInterval, config_.maxPendingUpdates);
-    if (!pending) continue;
-    const MutexLock lock(masterMutex_);
-    const UpdateQueue::Batch batch = queue_.drain();
-    if (!batch.empty()) applyAndPublishLocked(batch);
-  }
-}
-
 TenantMeter::Stats TenantMeter::stats() const {
   Stats s;
   s.scores = scoreCount_.load(std::memory_order_relaxed);
-  s.updates = updateCount_.load(std::memory_order_relaxed);
   s.publishes = publishCount_.load(std::memory_order_relaxed);
   s.cache = cache_.stats();
   return s;

@@ -1,31 +1,28 @@
 // TenantMeter — one tenant's complete serving unit (DESIGN.md §15).
 //
-// Everything that used to be "the one grammar's state" inside MeterService
-// lives here: the RCU snapshot slot, the generation-keyed score cache, the
-// coalescing update queue, the optional background publisher thread, and
-// the master grammar the publisher folds updates into. A TenantMeter is
-// self-contained — N of them can serve N tenants from one process, which
-// is exactly what the GrammarRegistry (src/registry) does. MeterService is
-// now a thin facade over a single TenantMeter, so single-grammar callers
-// keep their original API while the multi-tenant registry composes the
-// unit directly.
+// A TenantMeter serves one grammar: an RCU slot holding the current
+// GrammarSnapshot (a view of a mapped .fpsmb artifact) and a
+// generation-keyed score cache. It is self-contained — N of them can serve
+// N tenants from one process, which is exactly what the GrammarRegistry
+// (src/registry) does. MeterService is the same class under the name
+// single-grammar callers use.
 //
 // The paper's fuzzyPSM is adaptive — accepted passwords are folded back
-// into the grammar (Sec. IV-C) — but a single mutable FuzzyPsm cannot be
-// scored and updated concurrently. TenantMeter splits the two roles:
+// into the grammar (Sec. IV-C) — but a mutable grammar cannot be scored
+// and updated concurrently. TenantMeter only ever serves immutable
+// artifacts and leaves the fold to OnlineUpdater (src/online), which
+// compacts accepted passwords into a new logged, gated artifact and hands
+// it to publishFromArtifact():
 //
 //   readers   score()/scoreBatch() pin the current GrammarSnapshot via an
 //             RcuPtr (a shared_ptr copy under a pointer-sized critical
 //             section), consult a generation-keyed LRU cache for hot
 //             passwords, and then score with no synchronization at all;
-//   writer    update() appends to an UpdateQueue; a publisher (background
-//             thread, or explicit publishNow() calls when
-//             backgroundPublisher is off) drains the queue, folds the
-//             batch into the master grammar under a private mutex,
-//             freezes a fresh snapshot, and publishes it with one pointer
-//             swap. In-flight readers finish on the old snapshot; its
-//             memory is reclaimed when the last of them drops its
-//             reference (RCU lifetime rule).
+//   writer    publishFromArtifact() lints the artifact, wraps it in a
+//             snapshot under the next generation, and publishes it with
+//             one pointer swap. In-flight readers finish on the old
+//             snapshot; its memory is reclaimed when the last of them
+//             drops its reference (RCU lifetime rule).
 //
 // Guarantees:
 //   * Every score is computed against exactly one published snapshot; the
@@ -33,35 +30,25 @@
 //   * A cached score is served only under the generation it was computed
 //     from (ScoreCache evicts on mismatch), so a publish atomically
 //     invalidates the cache.
-//   * update() never loses occurrences: batches are either pending in the
-//     queue, folded into the master grammar, or handed to the installed
-//     update sink (see setUpdateSink).
+//   * Generations are strictly increasing: publishes serialize on
+//     publishMutex_, held across build-and-swap.
 //
-// The cost relative to the paper's immediate-fold semantics is bounded
-// staleness: an accepted password influences scores only after the next
-// publish (at most publishInterval later, sooner under backlog pressure).
-//
-// Locking discipline (proven by the `tsa` build, DESIGN.md §13): the
-// writer-side state — master_, coldArtifact_, nextGeneration_ — is
-// FPSM_GUARDED_BY(masterMutex_); public entry points FPSM_EXCLUDES the
-// mutex they acquire; applyAndPublishLocked FPSM_REQUIRES it. The reader
-// side needs no capability at all: current_ is an RcuPtr (internally
-// annotated) and cache_/queue_ are internally locked types.
+// Locking discipline (proven by the `tsa` build, DESIGN.md §13):
+// nextGeneration_ is FPSM_GUARDED_BY(publishMutex_) and
+// publishFromArtifact FPSM_EXCLUDES it. The reader side needs no
+// capability at all: current_ is an RcuPtr (internally annotated) and
+// cache_ is an internally locked type.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "serve/grammar_snapshot.h"
 #include "serve/score_cache.h"
-#include "serve/update_queue.h"
 #include "util/mutex.h"
 #include "util/rcu_ptr.h"
 #include "util/thread_annotations.h"
@@ -73,29 +60,16 @@ struct TenantMeterConfig {
   std::size_t cacheCapacity = 4096;
   /// Cache shards (lock striping for reader parallelism).
   std::size_t cacheShards = 8;
-  /// Publisher pacing: a snapshot rebuild is attempted at most this often
-  /// under light update traffic.
-  std::chrono::milliseconds publishInterval{50};
-  /// Backlog bound: the publisher wakes early once this many pending
-  /// occurrences have accumulated.
-  std::uint64_t maxPendingUpdates = 1 << 14;
-  /// Run the publisher on a background thread. Off = deterministic mode:
-  /// snapshots change only on explicit publishNow() (tests, benchmarks).
-  bool backgroundPublisher = true;
   /// Lint artifacts (analysis/grammar_lint.h) before they are served, in
-  /// both the cold-start constructor and publishFromArtifact(). A grammar
-  /// with Error-severity diagnostics is rejected with GrammarLintError
-  /// before any reader can observe it. Off is a tooling override for
-  /// serving known-bad grammars (e.g. reproducing a production incident).
+  /// both the constructor and publishFromArtifact(). A grammar with
+  /// Error-severity diagnostics is rejected with GrammarLintError before
+  /// any reader can observe it. Off is a tooling override for serving
+  /// known-bad grammars (e.g. reproducing a production incident).
   bool lintArtifacts = true;
   /// Options for the lint gate above (mass tolerance, spot-check stride).
   /// Ignored when lintArtifacts is off.
   LintOptions lintOptions{};
 };
-
-/// Historical name, kept for the single-grammar facade's callers: the
-/// config is the per-tenant serving configuration either way.
-using MeterServiceConfig = TenantMeterConfig;
 
 class TenantMeter {
  public:
@@ -106,29 +80,16 @@ class TenantMeter {
   };
 
   struct Stats {
-    std::uint64_t scores = 0;       ///< score() calls served
-    std::uint64_t updates = 0;      ///< occurrences accepted via update()
+    std::uint64_t scores = 0;       ///< passwords scored
     std::uint64_t publishes = 0;    ///< snapshots published after gen 0
     ScoreCache::Stats cache;
   };
 
-  /// Receives update() occurrences when installed (see setUpdateSink).
-  using UpdateSink = std::function<void(std::string_view, std::uint64_t)>;
-
-  /// Takes ownership of a trained grammar and publishes it as generation 0.
-  /// Throws NotTrained if the grammar has no counts.
-  explicit TenantMeter(FuzzyPsm grammar, TenantMeterConfig config = {});
-
-  /// Cold-start path: serves generation 0 directly from a compiled .fpsmb
-  /// artifact (zero-copy, typically mmap'd) with no grammar materialized.
-  /// The expensive FuzzyPsm rebuild is deferred to the first publish that
-  /// must fold updates. Throws NotTrained on an untrained artifact.
+  /// Serves a compiled .fpsmb artifact (zero-copy, typically mmap'd) as
+  /// generation 0. Throws NotTrained on an untrained artifact and
+  /// GrammarLintError when the lint gate rejects it.
   explicit TenantMeter(std::shared_ptr<const GrammarArtifact> artifact,
                        TenantMeterConfig config = {});
-
-  /// Stops the background publisher. Pending queued updates that were
-  /// never published are discarded (call publishNow() first to flush).
-  ~TenantMeter();
 
   TenantMeter(const TenantMeter&) = delete;
   TenantMeter& operator=(const TenantMeter&) = delete;
@@ -136,12 +97,7 @@ class TenantMeter {
   /// Scores one password against the current snapshot. Scoring itself is
   /// synchronization-free; the only locks touched are the RcuPtr's
   /// pointer-copy critical section and one cache shard's mutex.
-  Score score(std::string_view pw) const FPSM_EXCLUDES(masterMutex_);
-
-  /// Convenience: score().bits.
-  double strengthBits(std::string_view pw) const FPSM_NO_CAPABILITY {
-    return score(pw).bits;
-  }
+  Score score(std::string_view pw) const FPSM_NO_CAPABILITY;
 
   /// Scores a batch against ONE consistent snapshot (all results share a
   /// generation, so a publish landing mid-batch cannot mix grammars in one
@@ -154,42 +110,15 @@ class TenantMeter {
   /// `requestedThreads` follows parallelFor semantics (0 = auto).
   std::vector<Score> scoreBatch(const std::vector<std::string>& pws,
                                 unsigned requestedThreads = 0) const
-      FPSM_EXCLUDES(masterMutex_);
+      FPSM_NO_CAPABILITY;
 
-  /// The update phase: enqueues n occurrences of an accepted password for
-  /// the next publish. Cheap (one mutex-protected hash-map bump); never
-  /// rebuilds inline. Throws InvalidArgument on invalid passwords so the
-  /// error surfaces on the caller's thread, not the publisher's. When an
-  /// update sink is installed the occurrences are forwarded to it instead
-  /// of the internal queue (see setUpdateSink).
-  void update(std::string_view pw, std::uint64_t n = 1)
-      FPSM_EXCLUDES(masterMutex_);
-
-  /// Routes all future update() traffic into an external durable pipeline
-  /// instead of the in-process queue — this is how OnlineUpdater folds the
-  /// in-process update path onto its generation-log loop (DESIGN.md §12):
-  /// with a sink installed, update() == OnlineUpdater::accept(), so every
-  /// fold is log-backed and crash-durable rather than process-local.
-  /// Occurrences already queued before the swap still fold at the next
-  /// publish (they are never lost). Pass nullptr to restore the in-process
-  /// path. The swap itself is RCU-published and safe under concurrent
-  /// update() calls.
-  void setUpdateSink(UpdateSink sink) FPSM_NO_CAPABILITY;
-
-  /// Synchronously drains the queue and, if anything was pending, folds it
-  /// into the master grammar and publishes a new snapshot. Returns the
-  /// generation current after the call. Serialized with the background
-  /// publisher; safe to call concurrently with readers.
-  std::uint64_t publishNow() FPSM_EXCLUDES(masterMutex_);
-
-  /// Replaces the served grammar with a compiled artifact (hot retrain
-  /// rollout): publishes an artifact-backed snapshot under the next
-  /// generation and discards the previous master grammar. Updates still
-  /// pending in the queue are NOT lost — they fold into the new grammar at
-  /// the next publish. Returns the published generation.
+  /// Replaces the served grammar with a compiled artifact: lints it, then
+  /// publishes it under the next generation. A rejected artifact throws
+  /// (NotTrained, GrammarLintError) and leaves the previous snapshot
+  /// serving. Returns the published generation.
   std::uint64_t publishFromArtifact(
       std::shared_ptr<const GrammarArtifact> artifact)
-      FPSM_EXCLUDES(masterMutex_);
+      FPSM_EXCLUDES(publishMutex_);
 
   /// Current snapshot (pin it for consistent multi-call scoring).
   std::shared_ptr<const GrammarSnapshot> snapshot() const
@@ -202,15 +131,9 @@ class TenantMeter {
     return snapshot()->generation();
   }
 
-  std::uint64_t pendingUpdates() const FPSM_NO_CAPABILITY {
-    return queue_.pendingTotal();
-  }
-
-  /// Approximate bytes this unit keeps resident for serving: the mmap'd
-  /// artifact behind the current snapshot (0 for owned snapshots, whose
-  /// cost the registry does not budget — registry tenants are always
-  /// artifact-backed). This is the quantity the GrammarRegistry's
-  /// resident-bytes LRU budget sums.
+  /// Bytes this unit keeps resident for serving: the mmap'd artifact
+  /// behind the current snapshot. This is the quantity the
+  /// GrammarRegistry's resident-bytes LRU budget sums.
   std::uint64_t residentBytes() const FPSM_NO_CAPABILITY {
     return snapshot()->residentBytes();
   }
@@ -218,42 +141,28 @@ class TenantMeter {
   Stats stats() const FPSM_NO_CAPABILITY;
 
  private:
-  void publisherLoop() FPSM_EXCLUDES(masterMutex_);
-  /// Folds a drained batch into master_ and publishes.
-  std::uint64_t applyAndPublishLocked(const UpdateQueue::Batch& batch)
-      FPSM_REQUIRES(masterMutex_);
+  /// Lints `artifact` and wraps it as generation `gen` (throws on reject).
+  std::shared_ptr<const GrammarSnapshot> buildSnapshot(
+      std::shared_ptr<const GrammarArtifact> artifact,
+      std::uint64_t gen) const FPSM_NO_CAPABILITY;
 
   const TenantMeterConfig config_;  // immutable after construction
 
-  // Writer side. master_ is the only mutable grammar; it is touched solely
-  // under masterMutex_ and copied (then frozen) to produce snapshots.
-  // While coldArtifact_ is set, master_ is empty and is materialized from
-  // the artifact lazily, at the first publish that folds updates. The
-  // pointee is immutable (const), but the pointer is dereferenced only by
-  // the lock-holding publish path — so both the slot and the deref are
-  // annotated to masterMutex_.
-  mutable Mutex masterMutex_;
-  FuzzyPsm master_ FPSM_GUARDED_BY(masterMutex_);
-  std::shared_ptr<const GrammarArtifact> coldArtifact_
-      FPSM_GUARDED_BY(masterMutex_) FPSM_PT_GUARDED_BY(masterMutex_);
-  std::uint64_t nextGeneration_ FPSM_GUARDED_BY(masterMutex_) = 1;
+  // Writer side: publishes serialize here so generations stay monotonic.
+  Mutex publishMutex_;
+  std::uint64_t nextGeneration_ FPSM_GUARDED_BY(publishMutex_) = 1;
 
   // Reader side (each type is internally synchronized).
   RcuPtr<GrammarSnapshot> current_;
   mutable ScoreCache cache_;
 
-  // Update pipeline. The sink is RCU-published so update() callers racing
-  // a setUpdateSink() swap see either the old route or the new one, never
-  // a torn std::function.
-  mutable UpdateQueue queue_;
-  RcuPtr<UpdateSink> updateSink_;
-  std::atomic<bool> stopping_{false};
-  std::thread publisher_;
-
   // Counters (relaxed; monitoring only).
   mutable std::atomic<std::uint64_t> scoreCount_{0};
-  std::atomic<std::uint64_t> updateCount_{0};
   std::atomic<std::uint64_t> publishCount_{0};
 };
+
+/// The single-grammar names for the same unit and its configuration.
+using MeterService = TenantMeter;
+using MeterServiceConfig = TenantMeterConfig;
 
 }  // namespace fpsm

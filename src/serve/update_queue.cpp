@@ -4,17 +4,14 @@ namespace fpsm {
 
 void UpdateQueue::push(std::string_view pw, std::uint64_t n) {
   if (n == 0) return;
-  {
-    const MutexLock lock(mutex_);
-    const auto it = pending_.find(pw);
-    if (it == pending_.end()) {
-      pending_.emplace(std::string(pw), n);
-    } else {
-      it->second += n;
-    }
-    total_ += n;
+  const MutexLock lock(mutex_);
+  const auto it = pending_.find(pw);
+  if (it == pending_.end()) {
+    pending_.emplace(std::string(pw), n);
+  } else {
+    it->second += n;
   }
-  cv_.notifyOne();
+  total_ += n;
 }
 
 UpdateQueue::Batch UpdateQueue::drain() {
@@ -40,14 +37,6 @@ std::size_t UpdateQueue::pendingDistinct() const {
 std::uint64_t UpdateQueue::pendingTotal() const {
   const MutexLock lock(mutex_);
   return total_;
-}
-
-void UpdateQueue::wake() {
-  {
-    const MutexLock lock(mutex_);
-    woken_ = true;
-  }
-  cv_.notifyAll();
 }
 
 }  // namespace fpsm

@@ -1,21 +1,17 @@
-// Buffer between the request path and the grammar rebuild path.
+// Buffer between the accept path and compaction.
 //
 // The paper's update phase folds every accepted password into the grammar
 // immediately; under concurrent traffic that would serialize scorers
-// behind a writer lock. UpdateQueue instead makes update() a cheap
+// behind a writer lock. UpdateQueue instead makes accepting a cheap
 // append: occurrences are coalesced per password under a single mutex and
-// drained in batches by the publisher, which rebuilds and publishes a new
-// snapshot. The trade-off (scores lag accepted passwords by at most one
-// publish interval) is documented in DESIGN.md §7.
+// drained in batches by OnlineUpdater's compaction, which folds them into
+// a new grammar generation. The trade-off (scores lag accepted passwords
+// by at most one compaction) is documented in DESIGN.md §7.
 //
 // Locking discipline (proven by the `tsa` build, DESIGN.md §13): every
 // field is FPSM_GUARDED_BY(mutex_); the public surface FPSM_EXCLUDES it.
-// waitFor() is written as an explicit deadline loop rather than a
-// predicate-lambda wait so the guarded reads of total_/woken_ stay inside
-// the annotated critical section where the analysis can see the lock.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,8 +30,8 @@ class UpdateQueue {
   /// unspecified order.
   using Batch = std::vector<std::pair<std::string, std::uint64_t>>;
 
-  /// Records n more occurrences of pw. Thread-safe; never blocks on the
-  /// publisher beyond the queue mutex.
+  /// Records n more occurrences of pw. Thread-safe; never blocks on
+  /// compaction beyond the queue mutex.
   void push(std::string_view pw, std::uint64_t n = 1) FPSM_EXCLUDES(mutex_);
 
   /// Atomically takes the entire pending batch (empty if nothing pending).
@@ -47,32 +43,10 @@ class UpdateQueue {
   /// Total pending occurrences (sum of counts).
   std::uint64_t pendingTotal() const FPSM_EXCLUDES(mutex_);
 
-  /// Blocks until the pending backlog reaches `threshold` occurrences,
-  /// `wake()` is called, or the timeout passes — whichever comes first.
-  /// This is the publisher's pacing primitive: a full timeout gives normal
-  /// interval batching, the threshold bounds the backlog under a flood,
-  /// and wake() serves shutdown/flush. Returns true if updates are pending.
-  template <typename Duration>
-  bool waitFor(Duration timeout, std::uint64_t threshold)
-      FPSM_EXCLUDES(mutex_) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    const MutexLock lock(mutex_);
-    while (total_ < threshold && !woken_) {
-      if (cv_.waitUntil(mutex_, deadline) == std::cv_status::timeout) break;
-    }
-    woken_ = false;
-    return total_ > 0;
-  }
-
-  /// Wakes a waitFor() caller early (publisher shutdown / flush request).
-  void wake() FPSM_EXCLUDES(mutex_);
-
  private:
   mutable Mutex mutex_;
-  CondVar cv_;
   StringMap<std::uint64_t> pending_ FPSM_GUARDED_BY(mutex_);
   std::uint64_t total_ FPSM_GUARDED_BY(mutex_) = 0;
-  bool woken_ FPSM_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace fpsm

@@ -1,6 +1,8 @@
 #include "stats/rank.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 
 namespace fpsm {
@@ -24,6 +26,18 @@ std::vector<double> averageRanks(std::span<const double> values) {
     i = j + 1;
   }
   return ranks;
+}
+
+double nearestRankPercentile(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  // q is rounded to parts per million first so the rank is computed in
+  // integers: 0.07 * 100 is 7.000000000000001 in doubles, and its ceil
+  // would land one rank too high.
+  const auto ppm =
+      static_cast<std::uint64_t>(std::llround(std::clamp(q, 0.0, 1.0) * 1e6));
+  const std::uint64_t n = sorted.size();
+  const std::uint64_t rank = (ppm * n + 999999) / 1000000;
+  return sorted[rank == 0 ? 0 : rank - 1];
 }
 
 std::vector<std::size_t> descendingOrder(std::span<const double> values) {

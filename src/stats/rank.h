@@ -15,6 +15,12 @@ namespace fpsm {
 /// of the positions they span: ranks of {10, 20, 20, 30} are {1, 2.5, 2.5, 4}.
 std::vector<double> averageRanks(std::span<const double> values);
 
+/// Nearest-rank percentile of an ascending sample: the value at 1-based
+/// rank ceil(q * n), so the p99 of 100 samples is the 99th value, not the
+/// maximum. q in [0, 1] (q = 0 gives the minimum); an empty sample
+/// yields 0.
+double nearestRankPercentile(std::span<const double> sorted, double q);
+
 /// Ordering permutation: indices of `values` sorted descending (stable).
 /// Useful for "guess number" orderings where larger probability = guessed
 /// earlier = smaller guess number.

@@ -19,7 +19,8 @@
 // intraprocedural, so a predicate closure would read guarded fields in a
 // context the analysis cannot see the lock in. Callers write the standard
 // while-loop instead, which keeps every guarded read inside the annotated
-// critical section (see UpdateQueue::waitFor for the canonical shape).
+// critical section (see OnlineUpdater::compactorLoop for the canonical
+// shape).
 #pragma once
 
 #include <chrono>

@@ -24,7 +24,7 @@
 // under the lock; dereferencing the pin needs no capability at all.
 //
 // This is the serving layer's only synchronization primitive between the
-// score path and the grammar rebuild path (see src/serve/meter_service.h).
+// score path and the publish path (see src/serve/tenant_meter.h).
 #pragma once
 
 #include <memory>

@@ -26,7 +26,7 @@
 #include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "serve/grammar_snapshot.h"
-#include "serve/meter_service.h"
+#include "serve/tenant_meter.h"
 #include "trie/flat_trie.h"
 #include "util/check.h"
 
@@ -406,23 +406,20 @@ TEST_F(LintGateTest, SnapshotGateOverrideServesBadArtifact) {
 }
 
 TEST_F(LintGateTest, MeterServiceRejectsBadArtifactOnColdStart) {
-  MeterServiceConfig config;
-  config.backgroundPublisher = false;
-  EXPECT_THROW(MeterService(makeBadArtifact(), config), GrammarLintError);
+  EXPECT_THROW(MeterService{makeBadArtifact()}, GrammarLintError);
 }
 
 TEST_F(LintGateTest, MeterServiceOverrideServesBadArtifact) {
   MeterServiceConfig config;
-  config.backgroundPublisher = false;
   config.lintArtifacts = false;
   MeterService service(makeBadArtifact(), config);
   EXPECT_GE(service.score("password1").bits, 0.0);
 }
 
 TEST_F(LintGateTest, PublishFromArtifactKeepsServingOnRejection) {
-  MeterServiceConfig config;
-  config.backgroundPublisher = false;
-  MeterService service(makeTrainedPsm(), config);
+  const auto good =
+      GrammarArtifact::fromBytes(compileArtifact(makeTrainedPsm()));
+  MeterService service(good);
   const double before = service.score("password1").bits;
   EXPECT_THROW(service.publishFromArtifact(makeBadArtifact()),
                GrammarLintError);
@@ -430,8 +427,6 @@ TEST_F(LintGateTest, PublishFromArtifactKeepsServingOnRejection) {
   EXPECT_EQ(service.generation(), 0u);
   EXPECT_EQ(service.score("password1").bits, before);
   // A clean artifact still publishes afterwards.
-  const auto good =
-      GrammarArtifact::fromBytes(compileArtifact(makeTrainedPsm()));
   EXPECT_EQ(service.publishFromArtifact(good), 1u);
 }
 

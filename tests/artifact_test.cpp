@@ -22,7 +22,7 @@
 #include "artifact/checksum.h"
 #include "artifact_tamper.h"
 #include "core/fuzzy_psm.h"
-#include "serve/meter_service.h"
+#include "serve/tenant_meter.h"
 #include "trie/flat_trie.h"
 #include "trie/trie.h"
 #include "util/chars.h"
@@ -493,57 +493,17 @@ TEST(ArtifactServe, SnapshotFromArtifactScoresIdentically) {
   const FuzzyPsm psm = smallGrammar();
   const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
   const auto snap = GrammarSnapshot::fromArtifact(artifact, 7);
-  EXPECT_TRUE(snap->artifactBacked());
   EXPECT_EQ(snap->generation(), 7u);
   EXPECT_EQ(snap->log2Prob("password1"), psm.log2Prob("password1"));
-  EXPECT_THROW(snap->grammar(), Error);
+  EXPECT_EQ(snap->residentBytes(), artifact->sizeBytes());
 }
 
 TEST(ArtifactServe, MeterServiceColdStartsFromArtifact) {
   const FuzzyPsm psm = smallGrammar();
-  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(artifact, cfg);
-  EXPECT_TRUE(service.snapshot()->artifactBacked());
+  MeterService service(GrammarArtifact::fromBytes(compileArtifact(psm)));
+  EXPECT_EQ(service.generation(), 0u);
   EXPECT_EQ(service.score("password1").bits, psm.strengthBits("password1"));
-
-  // First update publish materializes the master grammar and folds the
-  // queued occurrences; scores evolve exactly as with an owned grammar.
-  FuzzyPsm expected = psm;
-  expected.update("password1", 3);
-  service.update("password1", 3);
-  EXPECT_EQ(service.publishNow(), 1u);
-  EXPECT_FALSE(service.snapshot()->artifactBacked());
-  EXPECT_EQ(service.score("password1").bits,
-            expected.strengthBits("password1"));
-}
-
-TEST(ArtifactServe, PublishFromArtifactKeepsPendingUpdates) {
-  const FuzzyPsm first = smallGrammar();
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(first, cfg);
-
-  service.update("qwerty12", 2);  // stays queued across the rollout
-
-  Rng rng(5);
-  const FuzzyPsm second = randomGrammar(rng);
-  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(second));
-  const std::uint64_t gen = service.publishFromArtifact(artifact);
-  EXPECT_EQ(service.generation(), gen);
-  EXPECT_TRUE(service.snapshot()->artifactBacked());
-  EXPECT_EQ(service.score("password1").bits,
-            second.strengthBits("password1"));
-  EXPECT_EQ(service.pendingUpdates(), 2u);
-
-  // The queued update folds into the *new* grammar at the next publish.
-  FuzzyPsm expected = FuzzyPsm::fromArtifact(*artifact);
-  expected.update("qwerty12", 2);
-  EXPECT_GT(service.publishNow(), gen);
-  EXPECT_EQ(service.pendingUpdates(), 0u);
-  EXPECT_EQ(service.score("qwerty12").bits,
-            expected.strengthBits("qwerty12"));
+  EXPECT_GT(service.residentBytes(), 0u);
 }
 
 }  // namespace

@@ -41,7 +41,7 @@
 #include "artifact/flat_grammar.h"
 #include "core/fuzzy_parse.h"
 #include "core/fuzzy_psm.h"
-#include "serve/meter_service.h"
+#include "serve/tenant_meter.h"
 #include "util/byte_scan.h"
 #include "util/chars.h"
 #include "util/rng.h"
@@ -182,7 +182,7 @@ void checkKernelsAgainstGroundTruth(const ByteScanKernels& k,
   // Exact-sized heap buffers: a kernel writing (or reading) one byte past
   // n is an ASan failure, not a silently tolerated overrun.
   const std::unique_ptr<char[]> inCopy(new char[n]);
-  std::memcpy(inCopy.get(), src, n);
+  if (n > 0) std::memcpy(inCopy.get(), src, n);  // src may be null at n == 0
   const std::unique_ptr<char[]> partner(new char[n]);
   const std::unique_ptr<unsigned char[]> upper(new unsigned char[n]);
   const std::unique_ptr<unsigned char[]> cls(new unsigned char[n]);
@@ -374,9 +374,8 @@ TEST(BatchDifferentialTest, EmptyBatchIsANoOp) {
 
 TEST(MeterServiceBatchTest, BatchMatchesScoreThroughHitsAndMisses) {
   MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
   cfg.cacheCapacity = 1 << 16;  // large enough that warmed entries persist
-  MeterService svc(trainedGrammar(), cfg);
+  MeterService svc(trainedArtifact(), cfg);
   const auto snap = svc.snapshot();
 
   const auto& corpus = corpus10k();
@@ -406,9 +405,8 @@ TEST(MeterServiceBatchTest, BatchMatchesScoreThroughHitsAndMisses) {
 
 TEST(MeterServiceBatchTest, BatchWithCacheDisabledIsStillExact) {
   MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
   cfg.cacheCapacity = 0;
-  MeterService svc(trainedGrammar(), cfg);
+  MeterService svc(trainedArtifact(), cfg);
   const auto snap = svc.snapshot();
   const auto& corpus = corpus10k();
   const std::vector<std::string> batch(corpus.begin(), corpus.begin() + 500);
@@ -422,16 +420,12 @@ TEST(MeterServiceBatchTest, BatchWithCacheDisabledIsStillExact) {
 }
 
 TEST(MeterServiceBatchTest, EmptyBatchReturnsEmpty) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService svc(trainedGrammar(), cfg);
+  MeterService svc(trainedArtifact());
   EXPECT_TRUE(svc.scoreBatch({}).empty());
 }
 
 TEST(MeterServiceBatchTest, ArtifactBackedServiceBatchMatchesScore) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService svc(trainedArtifact(), cfg);
+  MeterService svc(trainedArtifact());
   const auto& corpus = corpus10k();
   const std::vector<std::string> batch(corpus.begin(), corpus.begin() + 500);
   const auto scores = svc.scoreBatch(batch, 2);
@@ -468,7 +462,6 @@ TEST(MeterServiceBatchTest, BatchUnderConcurrentArtifactRollover) {
   ASSERT_NE(bitsOf(expected[0].back()), bitsOf(expected[1].back()));
 
   MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
   cfg.cacheCapacity = 1024;
   MeterService svc(artA, cfg);
 

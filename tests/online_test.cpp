@@ -545,7 +545,7 @@ TEST(OnlineUpdater, BootstrapServesTheTrainedGrammar) {
   EXPECT_EQ(updater->stats().lastSequence, 1u);
   // Serving from the compiled artifact is bit-identical to the grammar.
   for (const char* probe : {"password1", "qwerty12", "tyxdqd123", "zzzzzz"}) {
-    EXPECT_EQ(updater->service().strengthBits(probe),
+    EXPECT_EQ(updater->service().score(probe).bits,
               seed.strengthBits(probe))
         << probe;
   }
@@ -580,41 +580,6 @@ TEST(OnlineUpdater, AcceptValidatesAndCoalesces) {
   EXPECT_FALSE(noop.published);
   EXPECT_EQ(noop.sequence, 0u);
   EXPECT_EQ(updater->log().entries().size(), 2u);
-}
-
-TEST(OnlineUpdater, ServiceUpdateRoutesThroughTheDurableLoop) {
-  // The updater installs itself as the service's update sink, so the
-  // in-process path MeterService::update() and the durable accept() are
-  // one pipeline: occurrences sent through the service must land in the
-  // updater's pending set, fold at compaction, and publish a log-backed
-  // generation — and the service's own queue must stay empty throughout.
-  const std::string dir = scratchDir("sinkfold");
-  FuzzyPsm seed = fixtureBase();
-  seed.train(fixtureDataset("online_corpus.txt"));
-  auto updater = OnlineUpdater::bootstrap(seed, dir);
-
-  updater->service().update("password1", 2);
-  updater->service().update("zzzzzz");
-  EXPECT_EQ(updater->pendingUpdates(), 3u);
-  EXPECT_EQ(updater->service().pendingUpdates(), 0u);
-
-  const auto result = updater->compactNow();
-  EXPECT_TRUE(result.published) << result.rejection;
-  EXPECT_EQ(result.folded, 3u);
-  EXPECT_EQ(result.sequence, 2u);
-  EXPECT_EQ(updater->pendingUpdates(), 0u);
-  EXPECT_EQ(updater->stats().accepted, 3u);
-
-  // The published grammar must score like a direct retrain that saw the
-  // same occurrences — proof the sink-routed updates actually folded.
-  FuzzyPsm oracle = fixtureBase();
-  oracle.train(fixtureDataset("online_corpus.txt"));
-  oracle.update("password1", 2);
-  oracle.update("zzzzzz", 1);
-  EXPECT_EQ(updater->service().strengthBits("password1"),
-            oracle.strengthBits("password1"));
-  EXPECT_EQ(updater->service().strengthBits("zzzzzz"),
-            oracle.strengthBits("zzzzzz"));
 }
 
 // -------------------------------------- the online-vs-batch determinism core
@@ -656,7 +621,7 @@ TEST(OnlineUpdater, OnlineRunMatchesBatchRetrainByteIdentically) {
         << "online final artifact diverged from batch retrain";
     // And the served scores equal the batch grammar's scores.
     for (const char* probe : {"password1", "dragon123", "zzzzzz", "abc123"}) {
-      EXPECT_EQ(updater->service().strengthBits(probe),
+      EXPECT_EQ(updater->service().score(probe).bits,
                 batch.strengthBits(probe))
           << probe;
     }
@@ -701,7 +666,7 @@ TEST(OnlineUpdater, ResumeAfterCrashServesLastGoodGeneration) {
     seed.train(fixtureDataset("online_corpus.txt"));
     auto updater = OnlineUpdater::bootstrap(seed, dir);
     for (const auto& p : probes) {
-      gen1Bits.push_back(updater->service().strengthBits(p));
+      gen1Bits.push_back(updater->service().score(p).bits);
     }
     updater->accept("dragon123", 7);
     updater->accept("zzzzzz", 2);
@@ -721,7 +686,7 @@ TEST(OnlineUpdater, ResumeAfterCrashServesLastGoodGeneration) {
   EXPECT_EQ(resumed->stats().lastSequence, 1u);
   // No serving gap: scores are exactly generation 1's.
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(resumed->service().strengthBits(probes[i]), gen1Bits[i])
+    EXPECT_EQ(resumed->service().score(probes[i]).bits, gen1Bits[i])
         << probes[i];
   }
   // The loop keeps going: new updates land in a fresh generation whose
@@ -798,7 +763,7 @@ TEST(OnlineUpdater, LintRejectedGenerationRollsBackWithoutServingGap) {
                                            "qwerty12", "zzzzzz"};
   std::vector<double> gen1Bits;
   for (const auto& p : probes) {
-    gen1Bits.push_back(updater->service().strengthBits(p));
+    gen1Bits.push_back(updater->service().score(p).bits);
   }
 
   // Concurrent readers assert there is never a serving gap: every score
@@ -841,7 +806,7 @@ TEST(OnlineUpdater, LintRejectedGenerationRollsBackWithoutServingGap) {
   // never served), and the service still answers with generation 1.
   EXPECT_EQ(updater->log().entries().size(), 4u);
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(updater->service().strengthBits(probes[i]), gen1Bits[i]);
+    EXPECT_EQ(updater->service().score(probes[i]).bits, gen1Bits[i]);
   }
   updater.reset();
 
@@ -928,14 +893,14 @@ TEST(OnlineUpdater, DriftStressAdaptsMonotonicallyUnderConcurrentReaders) {
   // grows each cycle while the background stays constant, so its estimated
   // strength must fall monotonically — the meter adapting to drift.
   std::vector<double> driftedBits;
-  driftedBits.push_back(updater->service().strengthBits(drifted));
+  driftedBits.push_back(updater->service().score(drifted).bits);
   constexpr int kCycles = 5;
   for (int cycle = 1; cycle <= kCycles; ++cycle) {
     updater->accept("password1", 5);  // constant background
     updater->accept(drifted, static_cast<std::uint64_t>(8 * cycle));
     const auto result = updater->compactNow();
     ASSERT_TRUE(result.published) << result.rejection;
-    driftedBits.push_back(updater->service().strengthBits(drifted));
+    driftedBits.push_back(updater->service().score(drifted).bits);
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
@@ -997,7 +962,7 @@ TEST(OnlineUpdater, BackgroundCompactorPublishesUnderLoad) {
   all.add("dragon123", 200);
   oracle.train(all);
   for (const char* probe : {"password1", "dragon123", "qwerty12"}) {
-    EXPECT_EQ(updater->service().strengthBits(probe),
+    EXPECT_EQ(updater->service().score(probe).bits,
               oracle.strengthBits(probe))
         << probe;
   }

@@ -4,7 +4,7 @@
 //
 // What is pinned here:
 //   * the differential contract — a tenant served through GrammarRegistry
-//     scores bit-identically to a standalone MeterService over the same
+//     scores bit-identically to a standalone TenantMeter over the same
 //     artifact bytes, for three tenants with deliberately distinct
 //     grammars, including after an evict→reload cycle and after an
 //     online-update compaction (oracle: an OnlineUpdater driven with the
@@ -36,7 +36,7 @@
 #include "core/fuzzy_psm.h"
 #include "online/online_updater.h"
 #include "registry/grammar_registry.h"
-#include "serve/meter_service.h"
+#include "serve/tenant_meter.h"
 #include "util/error.h"
 
 namespace fs = std::filesystem;

@@ -8,8 +8,9 @@
 // Core invariant under test: every score a reader observes was computed
 // against exactly one published snapshot — the one named by the reported
 // generation — and matches a single-threaded oracle replay of the update
-// schedule up to that generation. Torn reads, lost updates, or a cache
-// entry surviving a publish would all break the exact-equality check.
+// schedule up to that generation. Torn reads, a publish landing out of
+// order, or a cache entry surviving a publish would all break the
+// exact-equality check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,10 +21,11 @@
 #include <thread>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "serve/grammar_snapshot.h"
-#include "serve/meter_service.h"
 #include "serve/score_cache.h"
+#include "serve/tenant_meter.h"
 #include "serve/update_queue.h"
 #include "util/error.h"
 
@@ -45,6 +47,10 @@ FuzzyPsm seedGrammar() {
   psm.update("tyxdqd123", 2);  // PCFG-fallback structure
   psm.update("Monkey2020", 3);
   return psm;
+}
+
+std::shared_ptr<const GrammarArtifact> artifactOf(const FuzzyPsm& psm) {
+  return GrammarArtifact::fromBytes(compileArtifact(psm));
 }
 
 const std::vector<std::string>& probes() {
@@ -72,24 +78,30 @@ std::vector<UpdateQueue::Batch> updateSchedule(std::size_t batches) {
   return schedule;
 }
 
-/// oracle[g][p] = strengthBits of probe p after replaying batches [0, g).
-std::vector<std::vector<double>> oracleBitsPerGeneration(
-    const std::vector<UpdateQueue::Batch>& schedule) {
-  FuzzyPsm replica = seedGrammar();
+/// The schedule replayed single-threaded through the paper's update phase:
+/// artifacts[g] is the grammar after batches [0, g), and oracle[g][p] the
+/// strengthBits of probe p under it.
+struct Replay {
+  std::vector<std::shared_ptr<const GrammarArtifact>> artifacts;
   std::vector<std::vector<double>> oracle;
-  oracle.reserve(schedule.size() + 1);
+};
+
+Replay replaySchedule(const std::vector<UpdateQueue::Batch>& schedule) {
+  FuzzyPsm replica = seedGrammar();
+  Replay replay;
   auto record = [&] {
+    replay.artifacts.push_back(artifactOf(replica));
     std::vector<double> bits;
     bits.reserve(probes().size());
     for (const auto& p : probes()) bits.push_back(replica.strengthBits(p));
-    oracle.push_back(std::move(bits));
+    replay.oracle.push_back(std::move(bits));
   };
   record();  // generation 0
   for (const auto& batch : schedule) {
     for (const auto& [pw, n] : batch) replica.update(pw, n);
     record();
   }
-  return oracle;
+  return replay;
 }
 
 // ------------------------------------------------------------ ScoreCache
@@ -242,9 +254,8 @@ TEST(UpdateQueueTest, DuplicatesAcrossDrainBoundariesStayInTheirBatch) {
 
 // The queue is a transport, not a validator: zero counts vanish, but
 // otherwise entries pass through verbatim — empty strings and oversized
-// passwords included. Validation lives upstream (MeterService::update /
-// OnlineUpdater::accept), so the queue must not corrupt or drop what a
-// buggy caller feeds it.
+// passwords included. Validation lives upstream (OnlineUpdater::accept),
+// so the queue must not corrupt or drop what a buggy caller feeds it.
 TEST(UpdateQueueTest, CarriesEmptyAndOversizedEntriesVerbatim) {
   UpdateQueue q;
   const std::string oversized(64 * 1024, 'x');
@@ -318,16 +329,15 @@ TEST(UpdateQueueTest, InterleavedConcurrentDrainsConserveOccurrences) {
 // -------------------------------------------------------- GrammarSnapshot
 
 TEST(GrammarSnapshotTest, FrozenCopyIsImmutableUnderUpdates) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(seedGrammar(), cfg);
+  MeterService service(artifactOf(seedGrammar()));
 
   const auto before = service.snapshot();
   EXPECT_EQ(before->generation(), 0u);
   const double bitsBefore = before->strengthBits("password1");
 
-  service.update("password1", 50);
-  EXPECT_EQ(service.publishNow(), 1u);
+  FuzzyPsm updated = seedGrammar();
+  updated.update("password1", 50);
+  EXPECT_EQ(service.publishFromArtifact(artifactOf(updated)), 1u);
 
   // The retired snapshot still scores exactly as it did.
   EXPECT_EQ(before->strengthBits("password1"), bitsBefore);
@@ -340,7 +350,7 @@ TEST(GrammarSnapshotTest, FrozenCopyIsImmutableUnderUpdates) {
 
 TEST(GrammarSnapshotTest, MatchesUnderlyingGrammarExactly) {
   const FuzzyPsm psm = seedGrammar();
-  const auto snap = GrammarSnapshot::freeze(psm, 7);
+  const auto snap = GrammarSnapshot::fromArtifact(artifactOf(psm), 7);
   EXPECT_EQ(snap->generation(), 7u);
   for (const auto& p : probes()) {
     EXPECT_EQ(snap->log2Prob(p), psm.log2Prob(p)) << p;
@@ -353,22 +363,11 @@ TEST(GrammarSnapshotTest, MatchesUnderlyingGrammarExactly) {
 TEST(MeterServiceTest, RequiresTrainedGrammar) {
   FuzzyPsm untrained;
   untrained.addBaseWord("password");
-  EXPECT_THROW(MeterService(std::move(untrained), {}), NotTrained);
-}
-
-TEST(MeterServiceTest, RejectsInvalidUpdateOnCallerThread) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(seedGrammar(), cfg);
-  EXPECT_THROW(service.update(""), InvalidArgument);
-  EXPECT_THROW(service.update("a\tb"), InvalidArgument);
-  EXPECT_EQ(service.pendingUpdates(), 0u);
+  EXPECT_THROW(MeterService(artifactOf(untrained)), NotTrained);
 }
 
 TEST(MeterServiceTest, ScoreMatchesGrammarAndCacheHitsAgree) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(seedGrammar(), cfg);
+  MeterService service(artifactOf(seedGrammar()));
   const FuzzyPsm replica = seedGrammar();
   for (const auto& p : probes()) {
     const auto first = service.score(p);
@@ -383,18 +382,15 @@ TEST(MeterServiceTest, ScoreMatchesGrammarAndCacheHitsAgree) {
 }
 
 TEST(MeterServiceTest, PublishInvalidatesCachedScores) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(seedGrammar(), cfg);
+  MeterService service(artifactOf(seedGrammar()));
   const auto cold = service.score("password1");
   const auto warm = service.score("password1");
   ASSERT_TRUE(warm.fromCache);
 
-  service.update("password1", 100);
-  service.publishNow();
-
   FuzzyPsm replica = seedGrammar();
   replica.update("password1", 100);
+  service.publishFromArtifact(artifactOf(replica));
+
   const auto fresh = service.score("password1");
   EXPECT_FALSE(fresh.fromCache);  // stale entry evicted, not served
   EXPECT_EQ(fresh.generation, 1u);
@@ -403,52 +399,8 @@ TEST(MeterServiceTest, PublishInvalidatesCachedScores) {
   EXPECT_GT(service.stats().cache.staleEvictions, 0u);
 }
 
-TEST(MeterServiceTest, PublishNowWithoutPendingKeepsGeneration) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(seedGrammar(), cfg);
-  EXPECT_EQ(service.publishNow(), 0u);
-  EXPECT_EQ(service.generation(), 0u);
-}
-
-TEST(MeterServiceTest, UpdateSinkDivertsUpdatesFromQueue) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(seedGrammar(), cfg);
-
-  // With a sink installed, update() forwards instead of queueing...
-  std::vector<std::pair<std::string, std::uint64_t>> captured;
-  service.setUpdateSink([&](std::string_view pw, std::uint64_t n) {
-    captured.emplace_back(std::string(pw), n);
-  });
-  service.update("password1", 3);
-  service.update("zzzzzz");
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0], (std::pair<std::string, std::uint64_t>{
-                             "password1", 3}));
-  EXPECT_EQ(captured[1],
-            (std::pair<std::string, std::uint64_t>{"zzzzzz", 1}));
-  EXPECT_EQ(service.pendingUpdates(), 0u);
-  // ...so publishNow() has nothing to fold and the generation holds.
-  EXPECT_EQ(service.publishNow(), 0u);
-  // Validation still happens on the caller's thread, before the sink.
-  EXPECT_THROW(service.update(""), InvalidArgument);
-  EXPECT_EQ(captured.size(), 2u);
-  // Stats still count sink-routed occurrences as accepted updates.
-  EXPECT_EQ(service.stats().updates, 4u);
-
-  // Detaching the sink restores the in-process queue path.
-  service.setUpdateSink(nullptr);
-  service.update("password1", 2);
-  EXPECT_EQ(captured.size(), 2u);
-  EXPECT_EQ(service.pendingUpdates(), 2u);
-  EXPECT_EQ(service.publishNow(), 1u);
-}
-
 TEST(MeterServiceTest, BatchSharesOneGenerationAndMatchesSingles) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;
-  MeterService service(seedGrammar(), cfg);
+  MeterService service(artifactOf(seedGrammar()));
   std::vector<std::string> pws = probes();
   // Explicit thread request exercises the parallelWorkerCount fix: small
   // batches must still honor the requested fan-out.
@@ -461,46 +413,25 @@ TEST(MeterServiceTest, BatchSharesOneGenerationAndMatchesSingles) {
   }
 }
 
-TEST(MeterServiceTest, BackgroundPublisherFoldsUpdates) {
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = true;
-  cfg.publishInterval = std::chrono::milliseconds(2);
-  MeterService service(seedGrammar(), cfg);
-
-  service.update("password1", 64);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while ((service.generation() == 0 || service.pendingUpdates() > 0) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(service.generation(), 1u);
-  FuzzyPsm replica = seedGrammar();
-  replica.update("password1", 64);
-  EXPECT_EQ(service.score("password1").bits, replica.strengthBits("password1"));
-  EXPECT_GE(service.stats().publishes, 1u);
-  EXPECT_EQ(service.stats().updates, 64u);
-}
-
 // ------------------------------------------------- multi-threaded stress
 
-// N readers score continuously while a writer floods update() and
-// publishes after every batch. Every observed (generation, bits) pair must
+// N readers score continuously while a writer publishes one precompiled
+// artifact per generation. Every observed (generation, bits) pair must
 // equal the single-threaded oracle replay — exact double equality, since
-// reader and oracle run the identical deterministic computation. Any torn
-// read, lost update, or stale cache hit shows up as a mismatch.
+// the artifact scores bit-identically to the grammar it was compiled from.
+// Any torn read, out-of-order publish, or stale cache hit shows up as a
+// mismatch.
 TEST(ServeStress, ReadersObserveOnlyPublishedSnapshots) {
   constexpr std::size_t kBatches = 40;
   constexpr int kReaders = 4;
 
-  const auto schedule = updateSchedule(kBatches);
-  const auto oracle = oracleBitsPerGeneration(schedule);
+  const Replay replay = replaySchedule(updateSchedule(kBatches));
+  const auto& oracle = replay.oracle;
 
   MeterServiceConfig cfg;
-  cfg.backgroundPublisher = false;  // writer publishes explicitly
-  cfg.cacheCapacity = 64;           // small: forces eviction + stale paths
+  cfg.cacheCapacity = 64;  // small: forces eviction + stale paths
   cfg.cacheShards = 4;
-  MeterService service(seedGrammar(), cfg);
+  MeterService service(replay.artifacts.front(), cfg);
 
   std::atomic<bool> writerDone{false};
   std::atomic<std::uint64_t> mismatches{0};
@@ -538,9 +469,8 @@ TEST(ServeStress, ReadersObserveOnlyPublishedSnapshots) {
   }
 
   std::thread writer([&] {
-    for (const auto& batch : schedule) {
-      for (const auto& [pw, n] : batch) service.update(pw, n);
-      service.publishNow();
+    for (std::size_t g = 1; g < replay.artifacts.size(); ++g) {
+      service.publishFromArtifact(replay.artifacts[g]);
       std::this_thread::yield();
     }
     writerDone.store(true, std::memory_order_release);
@@ -557,64 +487,6 @@ TEST(ServeStress, ReadersObserveOnlyPublishedSnapshots) {
     EXPECT_EQ(service.score(probes()[p]).bits, oracle.back()[p])
         << probes()[p];
   }
-}
-
-// Same shape but with the background publisher doing the folding: readers
-// and batch scorers race a writer thread and the publisher thread. Scores
-// cannot be checked against a per-generation oracle (publish points are
-// nondeterministic), so the invariant checked is weaker but still sharp:
-// every score must match the grammar obtained by replaying SOME prefix of
-// the coalesced update stream — verified at the end for the terminal
-// state — and the run must be data-race-free (the TSan target).
-TEST(ServeStress, BackgroundPublisherUnderMixedTraffic) {
-  constexpr int kReaders = 3;
-  constexpr std::size_t kUpdates = 400;
-
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = true;
-  cfg.publishInterval = std::chrono::milliseconds(1);
-  cfg.cacheCapacity = 32;
-  MeterService service(seedGrammar(), cfg);
-
-  std::atomic<bool> writerDone{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      std::size_t i = static_cast<std::size_t>(r);
-      while (!writerDone.load(std::memory_order_acquire)) {
-        if (i % 5 == 0) {
-          (void)service.scoreBatch(probes(), 2);
-        } else {
-          (void)service.score(probes()[i % probes().size()]);
-        }
-        ++i;
-      }
-    });
-  }
-
-  std::thread writer([&] {
-    for (std::size_t i = 0; i < kUpdates; ++i) {
-      service.update(probes()[i % probes().size()], 1);
-      if (i % 16 == 0) std::this_thread::yield();
-    }
-    writerDone.store(true, std::memory_order_release);
-  });
-
-  writer.join();
-  for (auto& t : readers) t.join();
-
-  // Flush whatever the background publisher had not folded yet, then the
-  // terminal state must equal the full replay.
-  service.publishNow();
-  ASSERT_EQ(service.pendingUpdates(), 0u);
-  FuzzyPsm replica = seedGrammar();
-  for (std::size_t i = 0; i < kUpdates; ++i) {
-    replica.update(probes()[i % probes().size()], 1);
-  }
-  for (const auto& p : probes()) {
-    EXPECT_EQ(service.score(p).bits, replica.strengthBits(p)) << p;
-  }
-  EXPECT_EQ(service.stats().updates, kUpdates);
 }
 
 }  // namespace

@@ -42,6 +42,18 @@ TEST(Rank, DescendingOrderIsStable) {
   EXPECT_EQ(order, (std::vector<std::size_t>{1, 2, 3, 0}));
 }
 
+TEST(Rank, NearestRankPercentileUsesCeilRank) {
+  std::vector<double> hundred(100);
+  for (std::size_t i = 0; i < hundred.size(); ++i) hundred[i] = i + 1.0;
+  EXPECT_EQ(nearestRankPercentile(hundred, 0.99), 99.0);  // not the max
+  EXPECT_EQ(nearestRankPercentile(hundred, 0.07), 7.0);   // 0.07*100 > 7
+  EXPECT_EQ(nearestRankPercentile(hundred, 1.0), 100.0);
+  EXPECT_EQ(nearestRankPercentile(hundred, 0.0), 1.0);
+  EXPECT_EQ(nearestRankPercentile(std::vector<double>{5, 9}, 0.5), 5.0);
+  EXPECT_EQ(nearestRankPercentile(std::vector<double>{4}, 0.99), 4.0);
+  EXPECT_EQ(nearestRankPercentile(std::vector<double>{}, 0.5), 0.0);
+}
+
 // ----------------------------------------------------------------- correlation
 
 TEST(Correlation, PearsonPerfect) {

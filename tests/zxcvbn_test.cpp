@@ -73,8 +73,11 @@ TEST(Spatial, ShiftedWalkCostsMore) {
 
 // --------------------------------------------------------------- sequences
 
+// Parameters are std::string, not const char*: gtest prints a char pointer
+// inside a tuple as its address, which would put an ASLR-dependent value
+// into every discovered ctest name.
 class SequenceCases
-    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
 
 TEST_P(SequenceCases, DetectionMatchesExpectation) {
   const auto [pw, expected] = GetParam();
@@ -108,7 +111,7 @@ TEST(Sequence, DescendingCostsOneMoreBit) {
 // -------------------------------------------------------------------- dates
 
 class SeparatedDates
-    : public ::testing::TestWithParam<std::tuple<const char*, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
 
 TEST_P(SeparatedDates, DetectionMatchesExpectation) {
   const auto [pw, expected] = GetParam();
@@ -156,7 +159,7 @@ TEST(Dates, YearRangeBounds) {
 // --------------------------------------------------------------- l33t sweep
 
 class LeetTableSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(LeetTableSweep, DecodesToDictionaryWord) {

@@ -318,7 +318,7 @@ const char* kHotPathFiles[] = {
 const char* kSelfSynchronizing[] = {
     "std::atomic", "RcuPtr",     "Mutex",       "SharedMutex",
     "CondVar",     "std::thread", "ScoreCache", "UpdateQueue",
-    "MeterService", "TenantMeter",
+    "TenantMeter",
 };
 
 class Linter {

@@ -27,35 +27,32 @@
 //   fuzzypsm generate --service NAME --scale S --seed N --out FILE.txt
 //       Write a synthetic leak for one of the paper's 11 services.
 //
-//   fuzzypsm serve-bench --grammar GRAMMAR [--threads N] [--duration-ms MS]
-//            [--pool N] [--seed S] [--batch N] [--json FILE]
-//            [--metrics-dump FILE]
-//       Stand up a MeterService and drive mixed traffic: N reader threads
-//       score passwords sampled from the grammar while a writer floods
-//       update() and the background publisher swaps snapshots. Prints
-//       aggregate scores/sec, publishes, and cache hit rate. With
-//       --batch N (N >= 1) readers issue scoreBatch() calls of N
-//       passwords instead of single score() calls and the report adds
-//       per-call p50/p95/p99 latency. --json FILE additionally writes the
-//       results machine-readable (same shape as BENCH_serve.json).
-//       --metrics-dump FILE writes the process-wide metrics snapshot
-//       (src/obs, DESIGN.md §14) after the run — readable later with
-//       `fuzzypsm stats --file FILE`.
-//       With --tenants ROOT the bench drives a GrammarRegistry instead of
-//       a single MeterService: readers pick a random tenant per call and
-//       route score/scoreBatch through the registry, the writer routes
-//       update() and compacts a random tenant periodically, and --budget
-//       BYTES caps resident bytes so cold loads and LRU evictions happen
-//       mid-traffic. The report adds per-tenant routed counts and the
-//       registry's aggregate stats; --json writes the
-//       "serve-bench-tenants" shape.
+//   fuzzypsm serve-bench (--grammar GRAMMAR | --tenants ROOT) [--threads N]
+//            [--duration-ms MS] [--pool N] [--seed S] [--batch N]
+//            [--budget BYTES] [--json FILE] [--metrics-dump FILE]
+//       Drive mixed traffic through a GrammarRegistry: N reader threads
+//       pick a random tenant per call and score passwords sampled from its
+//       grammar, while a writer routes update() and compacts a random
+//       tenant periodically (each compaction publishes a gated, logged
+//       generation). --tenants serves an existing registry root; --grammar
+//       registers GRAMMAR as the only tenant of a scratch root under the
+//       system temp dir, removed when the command exits. Prints aggregate
+//       scores/sec, cold loads, evictions, compactions, and a per-tenant
+//       table. With --batch N (N >= 1) readers issue scoreBatch() calls of
+//       N passwords instead of single score() calls and the report adds
+//       per-call p50/p95/p99 latency. --budget BYTES caps resident bytes so
+//       cold loads and LRU evictions happen mid-traffic. --json FILE
+//       additionally writes the results machine-readable (the
+//       "serve-bench-tenants" shape). --metrics-dump FILE writes the
+//       process-wide metrics snapshot (src/obs, DESIGN.md §14) after the
+//       run — readable later with `fuzzypsm stats --file FILE`.
 //
 //   fuzzypsm stats (--file DUMP.json | --grammar GRAMMAR [PW...]) [--json]
 //       Render a metrics snapshot. With --file, re-render a dump written
 //       by --metrics-dump (the line-oriented JSON format of DESIGN.md §14)
 //       as a human-readable table, or echo it verbatim with --json. With
 //       --grammar, run a small worked example — score the given passwords
-//       (or a few sampled from the grammar) twice through a MeterService
+//       (or a few sampled from the grammar) twice through a TenantMeter
 //       plus one scoreBatch call — and print the live snapshot, showing
 //       cache hits/misses and latency histograms end to end. Under a
 //       FPSM_METRICS=OFF build every metric renders as zero; the shape of
@@ -135,7 +132,9 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <iostream>
@@ -147,7 +146,6 @@
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
 #include "core/explain.h"
-#include "serve/meter_service.h"
 #include "core/fuzzy_psm.h"
 #include "core/suggest.h"
 #include "corpus/dataset_reader.h"
@@ -158,6 +156,8 @@
 #include "online/generation_log.h"
 #include "online/online_updater.h"
 #include "registry/grammar_registry.h"
+#include "serve/tenant_meter.h"
+#include "stats/rank.h"
 #include "synth/generator.h"
 #include "train/sharded_trainer.h"
 #include "util/error.h"
@@ -459,21 +459,40 @@ std::string jsonEscape(const std::string& s) {
   return out;
 }
 
-/// Nearest-rank percentile over a sorted sample (q in [0, 1]).
-double percentileUs(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(q * sorted.size());
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
-
 void printTenantTable(const std::vector<GrammarRegistry::TenantInfo>& infos);
 
-/// serve-bench --tenants ROOT: mixed traffic routed through a
-/// GrammarRegistry instead of one MeterService. Per-tenant request pools
-/// are sampled from each tenant's newest committed generation BEFORE the
-/// registry spins up any serving unit, so pool construction never competes
-/// with (or pre-warms) the cold-load path being measured.
-int cmdServeBenchTenants(const Args& args) {
+/// A fresh directory under the system temp dir, removed with everything in
+/// it when the object goes out of scope (also while an error unwinds).
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix) {
+    std::string name =
+        (std::filesystem::temp_directory_path() / (prefix + "-XXXXXX"))
+            .string();
+    if (mkdtemp(name.data()) == nullptr) {
+      throw IoError("cannot create scratch directory " + name);
+    }
+    path_ = std::move(name);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// serve-bench: mixed traffic routed through the GrammarRegistry at
+/// `root`. Per-tenant request pools are sampled from each tenant's newest
+/// committed generation BEFORE the registry spins up any serving unit, so
+/// pool construction never competes with (or pre-warms) the cold-load
+/// path being measured.
+int runServeBench(const Args& args, const std::string& root) {
   const unsigned threads = threadsOption(args, 4);
   const auto duration =
       std::chrono::milliseconds(std::stoul(args.option("duration-ms", "2000")));
@@ -483,7 +502,7 @@ int cmdServeBenchTenants(const Args& args) {
   if (poolSize == 0) throw InvalidArgument("--pool must be >= 1");
 
   GrammarRegistryConfig cfg;
-  cfg.rootDir = args.requiredOption("tenants");
+  cfg.rootDir = root;
   if (const auto b = args.option("budget"); !b.empty()) {
     cfg.residentBytesBudget = std::stoull(b);
   }
@@ -604,9 +623,9 @@ int cmdServeBenchTenants(const Args& args) {
     latencies.insert(latencies.end(), samples.begin(), samples.end());
   }
   std::sort(latencies.begin(), latencies.end());
-  const double p50 = percentileUs(latencies, 0.50);
-  const double p95 = percentileUs(latencies, 0.95);
-  const double p99 = percentileUs(latencies, 0.99);
+  const double p50 = nearestRankPercentile(latencies, 0.50);
+  const double p95 = nearestRankPercentile(latencies, 0.95);
+  const double p99 = nearestRankPercentile(latencies, 0.99);
   if (batchSize > 0) {
     std::printf(
         "scoreBatch latency over %s calls: p50 %.1f us, p95 %.1f us, "
@@ -662,140 +681,18 @@ int cmdServeBenchTenants(const Args& args) {
 }
 
 int cmdServeBench(const Args& args) {
-  if (!args.option("tenants").empty()) return cmdServeBenchTenants(args);
-  const unsigned threads = threadsOption(args, 4);
-  const auto duration =
-      std::chrono::milliseconds(std::stoul(args.option("duration-ms", "2000")));
-  const std::size_t poolSize = std::stoul(args.option("pool", "2048"));
-  const std::size_t batchSize = std::stoul(args.option("batch", "0"));
-  Rng rng(std::stoull(args.option("seed", "7")));
-  if (poolSize == 0) throw InvalidArgument("--pool must be >= 1");
-
-  FuzzyPsm psm = loadGrammar(args);
-  // Traffic pool drawn from the model itself: request popularity follows
-  // the grammar's own distribution, the hot head exercising the cache.
-  std::vector<std::string> pool;
-  pool.reserve(poolSize);
-  for (std::size_t i = 0; i < poolSize; ++i) {
-    pool.push_back(psm.sample(rng));
+  if (const std::string root = args.option("tenants"); !root.empty()) {
+    return runServeBench(args, root);
   }
-
-  MeterServiceConfig cfg;
-  cfg.backgroundPublisher = true;
-  cfg.publishInterval = std::chrono::milliseconds(10);
-  MeterService service(std::move(psm), cfg);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> totalScores{0};
-  // Per-call scoreBatch latencies, one sample vector per reader (merged
-  // after the run; only populated in batch mode).
-  std::vector<std::vector<double>> latencySamples(threads);
-  std::vector<std::thread> readers;
-  for (unsigned t = 0; t < threads; ++t) {
-    readers.emplace_back([&, t] {
-      Rng threadRng(1000 + t);
-      std::uint64_t local = 0;
-      std::vector<std::string> request(batchSize);
-      while (!stop.load(std::memory_order_acquire)) {
-        if (batchSize == 0) {
-          (void)service.score(pool[threadRng.below(pool.size())]);
-          ++local;
-        } else {
-          for (auto& pw : request) pw = pool[threadRng.below(pool.size())];
-          const auto t0 = std::chrono::steady_clock::now();
-          (void)service.scoreBatch(request);
-          const auto t1 = std::chrono::steady_clock::now();
-          latencySamples[t].push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-          local += batchSize;
-        }
-      }
-      totalScores.fetch_add(local, std::memory_order_relaxed);
-    });
+  // --grammar: the grammar becomes the only tenant of a scratch registry,
+  // so it is served, updated and published exactly like a registry tenant.
+  const ScratchDir scratch("fuzzypsm-serve-bench");
+  {
+    GrammarRegistryConfig cfg;
+    cfg.rootDir = scratch.path();
+    GrammarRegistry(cfg).addTenant("grammar", loadGrammar(args));
   }
-  std::thread writer([&] {
-    Rng writerRng(31337);
-    while (!stop.load(std::memory_order_acquire)) {
-      for (int i = 0; i < 8; ++i) {
-        service.update(pool[writerRng.below(pool.size())], 1);
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
-  const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(duration);
-  stop.store(true, std::memory_order_release);
-  writer.join();
-  for (auto& t : readers) t.join();
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  const auto stats = service.stats();
-  std::printf("readers: %u, writer: 1 (background publisher every %lld ms)\n",
-              threads,
-              static_cast<long long>(cfg.publishInterval.count()));
-  std::printf("simd: %s, batch size: %zu%s\n",
-              simdLevelName(activeSimdLevel()), batchSize,
-              batchSize == 0 ? " (single-password score())" : "");
-  std::printf("scores: %s in %.2f s -> %s scores/sec\n",
-              fmtCount(totalScores.load()).c_str(), secs,
-              fmtCount(static_cast<std::uint64_t>(
-                           static_cast<double>(totalScores.load()) / secs))
-                  .c_str());
-  std::printf("updates accepted: %s, snapshots published: %s (generation %s)\n",
-              fmtCount(stats.updates).c_str(),
-              fmtCount(stats.publishes).c_str(),
-              fmtCount(service.generation()).c_str());
-  std::printf("cache: %.1f%% hit rate, %s stale evictions\n",
-              100.0 * stats.cache.hitRate(),
-              fmtCount(stats.cache.staleEvictions).c_str());
-
-  std::vector<double> latencies;
-  for (auto& samples : latencySamples) {
-    latencies.insert(latencies.end(), samples.begin(), samples.end());
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const double p50 = percentileUs(latencies, 0.50);
-  const double p95 = percentileUs(latencies, 0.95);
-  const double p99 = percentileUs(latencies, 0.99);
-  if (batchSize > 0) {
-    std::printf(
-        "scoreBatch latency over %s calls: p50 %.1f us, p95 %.1f us, "
-        "p99 %.1f us\n",
-        fmtCount(latencies.size()).c_str(), p50, p95, p99);
-  }
-
-  if (const std::string jsonPath = args.option("json"); !jsonPath.empty()) {
-    std::ofstream json(jsonPath);
-    if (!json) throw IoError("cannot write " + jsonPath);
-    json << "{\n";
-    json << "  \"bench\": \"serve-bench\",\n";
-    json << "  \"readers\": " << threads << ",\n";
-    json << "  \"batch_size\": " << batchSize << ",\n";
-    json << "  \"duration_ms\": " << duration.count() << ",\n";
-    json << "  \"hardware_concurrency\": "
-         << std::thread::hardware_concurrency() << ",\n";
-    json << "  \"simd\": \"" << simdLevelName(activeSimdLevel()) << "\",\n";
-    json << "  \"scores\": " << totalScores.load() << ",\n";
-    json << "  \"scores_per_sec\": "
-         << (static_cast<double>(totalScores.load()) / secs) << ",\n";
-    json << "  \"publishes\": " << stats.publishes << ",\n";
-    json << "  \"cache_hit_rate\": " << stats.cache.hitRate() << ",\n";
-    if (batchSize > 0) {
-      json << "  \"calls\": " << latencies.size() << ",\n";
-      json << "  \"p50_us\": " << p50 << ",\n";
-      json << "  \"p95_us\": " << p95 << ",\n";
-      json << "  \"p99_us\": " << p99 << "\n";
-    } else {
-      json << "  \"calls\": " << totalScores.load() << "\n";
-    }
-    json << "}\n";
-    std::fprintf(stderr, "wrote %s\n", jsonPath.c_str());
-  }
-  maybeWriteMetricsDump(args);
-  return 0;
+  return runServeBench(args, scratch.path());
 }
 
 int cmdCompile(const Args& args) {
@@ -972,18 +869,17 @@ int cmdStats(const Args& args) {
     return renderDumpFile(file, wantJson);
   }
 
-  // Live worked example (README "Observability"): drive a MeterService
+  // Live worked example (README "Observability"): drive a TenantMeter
   // with a handful of passwords — two single-score passes so the second
   // one hits the cache, plus one scoreBatch call — then print the
   // process-wide snapshot those calls populated.
-  FuzzyPsm psm = loadGrammar(args);
+  const FuzzyPsm psm = loadGrammar(args);
   std::vector<std::string> pws = args.positional;
   if (pws.empty()) {
     Rng rng(std::stoull(args.option("seed", "7")));
     for (int i = 0; i < 8; ++i) pws.push_back(psm.sample(rng));
   }
-  MeterServiceConfig cfg;
-  MeterService service(std::move(psm), cfg);
+  const TenantMeter service(GrammarArtifact::fromBytes(compileArtifact(psm)));
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& pw : pws) (void)service.score(pw);
   }
