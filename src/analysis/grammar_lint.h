@@ -24,10 +24,12 @@
 // Wire-in points:
 //   * `fuzzypsm lint-grammar` (tools/fuzzypsm_cli.cpp): exit code = worst
 //     severity, human or --json output;
-//   * GrammarSnapshot::fromArtifact / TenantMeter: a mandatory pre-publish
-//     gate (override: TenantMeterConfig::lintArtifacts, or the `lint`
-//     parameter for tooling) — a bad train run is rejected before it
-//     reaches readers;
+//   * OnlineUpdater's trust gate (online/online_updater.h): the one
+//     mandatory pre-publish gate, run once per served generation — at
+//     bootstrap, at every compaction, and for each resume candidate — so
+//     a bad train run is rejected before it reaches readers;
+//   * `fuzzypsm stats --grammar`, which serves a grammar file from disk
+//     straight through a TenantMeter and so audits it itself;
 //   * FPSM_CHECK/FPSM_DCHECK (util/check.h) cover the per-access runtime
 //     side of the same invariants on the scoring hot path.
 #pragma once

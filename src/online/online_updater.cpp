@@ -27,6 +27,10 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::bootstrap(
         " already has generations; use resume()");
   }
   const std::vector<std::byte> bytes = compileArtifact(trained);
+  // Gate the in-memory image before it touches the log, so a rejected
+  // grammar leaves the log empty rather than holding an unservable
+  // generation 1.
+  gate(config, GrammarArtifact::fromBytes(bytes)->grammar());
   const std::uint64_t seq = log.append(bytes.data(), bytes.size());
   auto artifact = GrammarArtifact::open(log.pathFor(seq));
   return std::unique_ptr<OnlineUpdater>(
@@ -43,8 +47,8 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::resume(
 
   // Newest-first: the freshest generation that clears every gate serves.
   // A generation that fails here was checksummed-good on disk but is
-  // unservable (malformed bytes or lint-rejected semantics) — report it
-  // and keep walking, exactly like tail recovery one level down.
+  // unservable (malformed bytes, or semantics the trust gate rejects) —
+  // report it and keep walking, exactly like tail recovery one level down.
   const auto& entries = log.entries();
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     std::shared_ptr<const GrammarArtifact> artifact;
@@ -54,22 +58,11 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::resume(
       rep.add(RecoverySkipReason::UnreadableArtifact, it->sequence, e.what());
       continue;
     }
-    if (config.lintGate) {
-      LintReport lint =
-          GrammarValidator(config.lintOptions).lint(artifact->grammar());
-      if (!lint.ok()) {
-        rep.add(RecoverySkipReason::LintRejected, it->sequence,
-                lint.render());
-        continue;
-      }
-    }
-    if (config.publishGate) {
-      try {
-        config.publishGate(artifact->grammar());
-      } catch (const Error& e) {
-        rep.add(RecoverySkipReason::LintRejected, it->sequence, e.what());
-        continue;
-      }
+    try {
+      gate(config, artifact->grammar());
+    } catch (const Error& e) {
+      rep.add(RecoverySkipReason::LintRejected, it->sequence, e.what());
+      continue;
     }
     const std::uint64_t seq = it->sequence;
     // Defer the FuzzyPsm materialization: the service scores the zero-copy
@@ -97,20 +90,22 @@ OnlineUpdater::OnlineUpdater(GenerationLog log, FuzzyPsm base,
       service_(std::move(served), config_.serviceConfig),
       shards_(config_.deltaShards == 0 ? 1 : config_.deltaShards) {
   lastSequence_.store(servedSequence, std::memory_order_relaxed);
-  if (config_.backgroundCompactor) {
-    compactor_ = std::thread([this] { compactorLoop(); });
-  }
 }
 
-OnlineUpdater::~OnlineUpdater() {
-  stopping_.store(true, std::memory_order_release);
-  wakeCv_.notifyAll();
-  if (compactor_.joinable()) compactor_.join();
+void OnlineUpdater::gate(const OnlineUpdaterConfig& config,
+                         const FlatGrammarView& grammar) {
+  LintReport lint = GrammarValidator().lint(grammar);
+  if (!lint.ok()) throw GrammarLintError(std::move(lint));
+  if (config.publishGate) config.publishGate(grammar);
 }
 
 void OnlineUpdater::accept(std::string_view pw, std::uint64_t n) {
   if (n == 0) return;
   try {
+    if (n > kMaxAcceptCount) {
+      throw InvalidArgument("OnlineUpdater::accept: " + std::to_string(n) +
+                            " occurrences exceed the per-call bound of 2^32");
+    }
     validatePassword(pw);
   } catch (...) {
     obs::count(obs::Counter::OnlineAcceptInvalid);
@@ -123,9 +118,6 @@ void OnlineUpdater::accept(std::string_view pw, std::uint64_t n) {
       pendingApprox_.fetch_add(n, std::memory_order_relaxed) + n;
   obs::gaugeSet(obs::Gauge::OnlineQueueDepth,
                 static_cast<std::int64_t>(pending));
-  if (config_.backgroundCompactor && pending >= config_.maxPendingUpdates) {
-    wakeCv_.notifyOne();
-  }
 }
 
 void OnlineUpdater::materializeBaseLocked() {
@@ -195,16 +187,11 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
     // span (the stage ran and failed).
     obs::StageTimer gateSpan(obs::Histo::OnlineCompactGate);
     auto artifact = GrammarArtifact::open(log_.pathFor(res.sequence));
-    // Gate 2: semantic lint, then the caller's extra acceptance policy.
-    if (config_.lintGate) {
-      LintReport lint =
-          GrammarValidator(config_.lintOptions).lint(artifact->grammar());
-      if (!lint.ok()) throw GrammarLintError(std::move(lint));
-    }
-    if (config_.publishGate) config_.publishGate(artifact->grammar());
+    // Gate 2: the trust gate — semantic lint, then the caller's policy.
+    gate(config_, artifact->grammar());
     gateSpan.stop();
-    // Gate 3: the RCU flip (TenantMeter re-lints under its own config;
-    // readers never observe a grammar that failed either gate).
+    // Gate 3: the RCU flip. TenantMeter serves what it is handed, so
+    // readers never observe a grammar that failed either gate.
     obs::StageTimer publishSpan(obs::Histo::OnlineCompactPublish);
     res.generation = service_.publishFromArtifact(std::move(artifact));
     res.published = true;
@@ -224,30 +211,6 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
     res.rejection = e.what();
   }
   return res;
-}
-
-void OnlineUpdater::compactorLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    {
-      // Explicit deadline loop (not a predicate-lambda wait) so the wake
-      // conditions are checked in this annotated scope; they are atomics,
-      // wakeMutex_ only carries the condvar protocol (see header).
-      const auto deadline =
-          std::chrono::steady_clock::now() + config_.compactionInterval;
-      const MutexLock lock(wakeMutex_);
-      while (!stopping_.load(std::memory_order_acquire) &&
-             pendingApprox_.load(std::memory_order_relaxed) <
-                 config_.maxPendingUpdates) {
-        if (wakeCv_.waitUntil(wakeMutex_, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
-    if (pendingApprox_.load(std::memory_order_relaxed) == 0) continue;
-    compactNow();
-  }
 }
 
 std::uint64_t OnlineUpdater::pendingUpdates() const {

@@ -4,12 +4,14 @@
 // OnlineUpdater is the only way a served grammar changes: it drives a
 // TenantMeter through a GenerationLog, so every fold is durable (kill the
 // process and the log still holds every published generation) and
-// auditable (the log records which grammar was serving when):
+// auditable (the log records which grammar was serving when). It owns no
+// thread: every method runs on its caller's thread (the compaction parse
+// fans out through util/parallel.h and joins before compactNow() returns).
 //
-//   accept()     validates the password and appends it to one of
-//                deltaShards UpdateQueues, picked by password hash. The
-//                serve path never blocks on compaction: shard queues are
-//                independent mutexes, and concurrent readers score the
+//   accept()     validates the password and its count and appends it to
+//                one of deltaShards UpdateQueues, picked by password hash.
+//                The serve path never blocks on compaction: shard queues
+//                are independent mutexes, and concurrent readers score the
 //                current RCU snapshot untouched.
 //   compactNow() drains every shard, parses the combined batch into a
 //                GrammarCounts delta with ShardedTrainer (same parallel
@@ -19,7 +21,8 @@
 //                GenerationLog, and only then gates + publishes:
 //
 //                   gate 1  GrammarArtifact::open — byte-level validation
-//                   gate 2  GrammarValidator lint — semantic validation
+//                   gate 2  the trust gate — GrammarValidator lint with the
+//                           default LintOptions, then publishGate
 //                   gate 3  TenantMeter::publishFromArtifact — RCU flip
 //
 //                Any gate failure rolls back: the cumulative counts were
@@ -30,6 +33,12 @@
 //                counted as quarantined rather than re-queued — replaying
 //                a batch that deterministically produces a rejected
 //                grammar would wedge the loop.
+//
+// Trust: this class is the one place a generation is trusted. The trust
+// gate runs exactly once per served generation — in bootstrap() before
+// generation 1 reaches the log, in compactNow() after the append, and in
+// resume() for each candidate it walks. TenantMeter does not re-audit what
+// it is handed.
 //
 // Determinism (the online-vs-batch contract, tests/online_test.cpp): a
 // parse is a pure function of (password, base dictionary, config), and
@@ -45,19 +54,17 @@
 // Restart durability: resume() walks the log from the newest generation
 // backwards, serving the first one that passes all gates, and rebuilds
 // the cumulative counts from it. Updates accepted after the served
-// generation's compaction are lost on crash — the queue is volatile by
-// design (bounded loss); the log bounds the loss to one compaction
-// interval.
+// generation's compaction are lost on crash or destruction — the queue is
+// volatile by design (bounded loss); the log bounds the loss to one
+// compaction interval, which the caller's compactNow() cadence sets.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/fuzzy_psm.h"
@@ -77,29 +84,13 @@ struct OnlineUpdaterConfig {
   std::size_t deltaShards = 16;
   /// Threads for the compaction parse (ShardedTrainer); 0 = auto.
   unsigned compactionThreads = 0;
-  /// Background compactor pacing: a compaction is attempted at most this
-  /// often under light traffic.
-  std::chrono::milliseconds compactionInterval{1000};
-  /// Backlog bound: the background compactor wakes early once this many
-  /// pending occurrences have accumulated across all shards.
-  std::uint64_t maxPendingUpdates = std::uint64_t{1} << 16;
-  /// Run compaction on a background thread. Off (the default) is
-  /// deterministic mode: generations advance only on explicit
-  /// compactNow() — tests, the CLI update loop, benchmarks.
-  bool backgroundCompactor = false;
-  /// Lint every compacted generation before it is published (gate 2).
-  /// Off skips only the updater's semantic gate; byte validation (gate 1)
-  /// always runs.
-  bool lintGate = true;
-  /// Options for the lint gate.
-  LintOptions lintOptions{};
-  /// Optional extra acceptance gate, run after the lint gate on every
-  /// candidate generation — at compaction AND at resume(), so a grammar
-  /// this policy rejects is never served from either path. Throw (any
-  /// Error subclass; GrammarLintError carries a report) to reject the
-  /// candidate: compaction rolls it back, resume skips it. Deployment
-  /// hooks (canary scoring, external policy) and the test suite's
-  /// deterministic rejection injection both plug in here.
+  /// Optional acceptance policy, run by the trust gate after the lint on
+  /// every candidate generation — at bootstrap(), at compaction and at
+  /// resume(), so a grammar this policy rejects is never served from any
+  /// path. Throw (any Error subclass; GrammarLintError carries a report)
+  /// to reject the candidate: bootstrap throws, compaction rolls back,
+  /// resume skips it. Deployment hooks (canary scoring, external policy)
+  /// and the test suite's deterministic rejection injection plug in here.
   std::function<void(const FlatGrammarView&)> publishGate;
   /// Serving configuration of the TenantMeter the updater publishes to.
   TenantMeterConfig serviceConfig{};
@@ -125,16 +116,24 @@ class OnlineUpdater {
     std::uint64_t lastSequence = 0; ///< newest published log sequence
   };
 
-  /// Starts a fresh log at `directory` from a trained grammar: compiles it
-  /// as generation 1 and serves it artifact-backed. Throws InvalidArgument
-  /// if the log already has generations (use resume()) and NotTrained on
-  /// an untrained grammar.
+  /// Largest occurrence count one accept() call may fold. Counts are
+  /// summed in 64-bit fields from the queue to the artifact; with each
+  /// call capped at 2^32, a sum needs 2^32 calls to wrap, where two
+  /// uncapped calls (2^63 + 2^63) wrap to 0.
+  static constexpr std::uint64_t kMaxAcceptCount = std::uint64_t{1} << 32;
+
+  /// Starts a fresh log at `directory` from a trained grammar: compiles it,
+  /// runs the trust gate on the compiled image, commits it as generation 1
+  /// and serves it artifact-backed. Throws InvalidArgument if the log
+  /// already has generations (use resume()), NotTrained on an untrained
+  /// grammar, and the gate's error (GrammarLintError for a lint failure)
+  /// on rejection — a rejected grammar never reaches the log.
   static std::unique_ptr<OnlineUpdater> bootstrap(
       const FuzzyPsm& trained, const std::string& directory,
       OnlineUpdaterConfig config = {});
 
   /// Reopens an existing log after a crash or restart. Walks generations
-  /// newest-first and serves the first one that opens and passes the lint
+  /// newest-first and serves the first one that opens and passes the trust
   /// gate; generations that fail are reported (RecoverySkip) and skipped.
   /// Throws GenerationLogError(NoSuchSequence) when no generation is
   /// servable.
@@ -142,16 +141,14 @@ class OnlineUpdater {
       const std::string& directory, OnlineUpdaterConfig config = {},
       RecoveryReport* report = nullptr);
 
-  /// Stops the background compactor. Pending accepted passwords that were
-  /// never compacted are discarded (call compactNow() first to flush).
-  ~OnlineUpdater();
-
   OnlineUpdater(const OnlineUpdater&) = delete;
   OnlineUpdater& operator=(const OnlineUpdater&) = delete;
 
   /// The serve path's update hook: validates and enqueues n occurrences of
   /// an accepted password. Never blocks on compaction; throws
-  /// InvalidArgument on malformed passwords.
+  /// InvalidArgument on malformed passwords and on n > kMaxAcceptCount.
+  /// Pending occurrences are discarded if the updater is destroyed before
+  /// a compactNow() folds them.
   void accept(std::string_view pw, std::uint64_t n = 1)
       FPSM_EXCLUDES(compactionMutex_);
 
@@ -169,9 +166,9 @@ class OnlineUpdater {
   /// The artifact log backing this updater. Read-only inspection surface
   /// for tests and the CLI; log_ itself is guarded by compactionMutex_,
   /// and this accessor deliberately opts out of the analysis — callers
-  /// must be quiescent (background compactor off or stopped), which is a
-  /// lifecycle contract the lock cannot express. See DESIGN.md §13 on
-  /// annotated escape hatches.
+  /// must not run compactNow() on another thread while they hold the
+  /// reference, a calling contract the lock cannot express. See DESIGN.md
+  /// §13 on annotated escape hatches.
   const GenerationLog& log() const FPSM_NO_THREAD_SAFETY_ANALYSIS {
     return log_;
   }
@@ -189,7 +186,11 @@ class OnlineUpdater {
                 std::shared_ptr<const GrammarArtifact> served,
                 std::uint64_t servedSequence, OnlineUpdaterConfig config);
 
-  void compactorLoop() FPSM_EXCLUDES(compactionMutex_);
+  /// The trust gate: lints `grammar` with the default LintOptions, then
+  /// runs config.publishGate. Throws GrammarLintError (or whatever the
+  /// policy throws) on rejection.
+  static void gate(const OnlineUpdaterConfig& config,
+                   const FlatGrammarView& grammar);
   /// Pays the one-time FuzzyPsm materialization for a deferred-base
   /// updater (see baseArtifact_). No-op once base_ is live.
   void materializeBaseLocked() FPSM_REQUIRES(compactionMutex_);
@@ -214,14 +215,6 @@ class OnlineUpdater {
   // Accept path. Sized at construction, never resized (UpdateQueue is
   // immovable and internally locked).
   std::vector<UpdateQueue> shards_;
-
-  // Background compactor. wakeMutex_ guards no data — the wake predicate
-  // reads atomics — it exists only to carry wakeCv_'s sleep/notify
-  // protocol, so nothing is FPSM_GUARDED_BY it.
-  std::atomic<bool> stopping_{false};
-  Mutex wakeMutex_;
-  CondVar wakeCv_;
-  std::thread compactor_;
 
   // Counters (relaxed; monitoring only).
   std::atomic<std::uint64_t> accepted_{0};

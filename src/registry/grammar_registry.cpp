@@ -28,16 +28,6 @@ std::uint64_t countGenerationFiles(const std::string& directory) {
   return n;
 }
 
-OnlineUpdaterConfig tenantUnitConfig(const GrammarRegistryConfig& config) {
-  OnlineUpdaterConfig cfg = config.tenantConfig;
-  // The registry owns every unit's lifecycle: compaction runs only through
-  // compactTenant()/flush-on-evict, where the busy bar makes it visible to
-  // the eviction scan. A detached compactor thread could append to a log
-  // the registry is about to drop.
-  cfg.backgroundCompactor = false;
-  return cfg;
-}
-
 }  // namespace
 
 bool GrammarRegistry::validTenantId(std::string_view id) {
@@ -161,8 +151,7 @@ TenantRoute GrammarRegistry::loadSlow(const std::string& tenant) {
 TenantRoute GrammarRegistry::loadLocked(
     const std::shared_ptr<TenantRuntime>& state) {
   obs::StageTimer coldSpan(obs::Histo::RegistryColdLoad);
-  auto unit = OnlineUpdater::resume(state->directory,
-                                    tenantUnitConfig(config_));
+  auto unit = OnlineUpdater::resume(state->directory, config_.tenantConfig);
   TenantRoute route;
   route.runtime = state;
   route.unit = std::shared_ptr<OnlineUpdater>(std::move(unit));
@@ -286,10 +275,11 @@ std::vector<TenantMeter::Score> GrammarRegistry::scoreBatch(
 void GrammarRegistry::update(const std::string& tenant, std::string_view pw,
                              std::uint64_t n) {
   const TenantRoute route = routeFor(tenant);
+  // accept() validates first: a rejected call is not routed traffic.
+  route.unit->accept(pw, n);
   route.runtime->routedUpdates.fetch_add(n, std::memory_order_relaxed);
   routedUpdates_.fetch_add(n, std::memory_order_relaxed);
   obs::count(obs::Counter::RegistryUpdatesRouted, n);
-  route.unit->accept(pw, n);
 }
 
 OnlineUpdater::CompactionResult GrammarRegistry::compactTenant(

@@ -96,9 +96,10 @@ struct GrammarRegistryConfig {
   /// Compact a unit's pending accepted updates into a final generation
   /// before evicting it, so eviction never discards accepted traffic.
   bool flushOnEvict = true;
-  /// Per-tenant serving/updater configuration. backgroundCompactor is
-  /// forced off — the registry owns every unit's lifecycle and cannot
-  /// have detached threads appending to logs it is about to evict.
+  /// Per-tenant serving/updater configuration, handed to every unit's
+  /// OnlineUpdater::resume(). Units compact only through compactTenant()
+  /// and flush-on-evict, where the busy bar makes a compaction visible to
+  /// the eviction scan.
   OnlineUpdaterConfig tenantConfig{};
 };
 
@@ -172,7 +173,9 @@ class GrammarRegistry {
 
   /// Routes n occurrences of an accepted password into `tenant`'s durable
   /// update pipeline (OnlineUpdater::accept — folded at the next
-  /// compaction, published as a log-backed generation).
+  /// compaction, published as a log-backed generation). A call accept()
+  /// rejects (malformed password, n > OnlineUpdater::kMaxAcceptCount)
+  /// throws InvalidArgument and is not counted as routed traffic.
   void update(const std::string& tenant, std::string_view pw,
               std::uint64_t n = 1) FPSM_EXCLUDES(mutex_);
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analysis/grammar_lint.h"
 #include "util/error.h"
 
 namespace fpsm {
@@ -13,17 +12,9 @@ GrammarSnapshot::GrammarSnapshot(
 
 std::shared_ptr<const GrammarSnapshot> GrammarSnapshot::fromArtifact(
     std::shared_ptr<const GrammarArtifact> artifact,
-    std::uint64_t generation, bool lint, const LintOptions& lintOptions) {
+    std::uint64_t generation) {
   if (!artifact) {
     throw InvalidArgument("GrammarSnapshot::fromArtifact: null artifact");
-  }
-  if (lint) {
-    // Pre-publish gate: the artifact's bytes were already checksum- and
-    // bounds-validated, but semantic defects (dangling B_n references,
-    // counter drift) pass the loader and would poison every reader of this
-    // snapshot. Fail closed before the grammar becomes reachable.
-    LintReport report = GrammarValidator(lintOptions).lint(artifact->grammar());
-    if (!report.ok()) throw GrammarLintError(std::move(report));
   }
   // Not make_shared: the constructor is private.
   return std::shared_ptr<const GrammarSnapshot>(

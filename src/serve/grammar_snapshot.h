@@ -4,6 +4,9 @@
 // (typically an mmap'd generation file) plus the generation number it was
 // published under. No deep copy is made; the snapshot pins the
 // GrammarArtifact alive, and every score is a read of the mapped bytes.
+// Building a snapshot audits nothing: the artifact's bytes were validated
+// when it was opened, and its semantics are gated once, by OnlineUpdater,
+// before it is published (DESIGN.md §9).
 //
 // The snapshot is immutable, so one snapshot can be scored by any number
 // of threads with no locking at all. This is the ownership model Chromium
@@ -28,7 +31,6 @@
 #include <memory>
 #include <string_view>
 
-#include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
 
 namespace fpsm {
@@ -37,20 +39,10 @@ class GrammarSnapshot {
  public:
   /// Wraps a validated artifact without copying it: scoring runs directly
   /// on the (possibly memory-mapped) flat grammar. The artifact is kept
-  /// alive for the snapshot's lifetime.
-  ///
-  /// With `lint` (the default) the grammar is audited by GrammarValidator
-  /// before it can be published: the byte loader only proves the buffer is
-  /// well-formed, not that its semantics are scoreable (see
-  /// analysis/grammar_lint.h). Throws GrammarLintError — carrying the full
-  /// report — on any Error-severity diagnostic. `lint = false` is the
-  /// tooling override for inspecting known-bad grammars. `lintOptions`
-  /// configures the gate (tolerances, spot-check stride) so publishers —
-  /// TenantMeter, the online updater — audit with one policy end to end.
+  /// alive for the snapshot's lifetime. Throws InvalidArgument on null.
   static std::shared_ptr<const GrammarSnapshot> fromArtifact(
       std::shared_ptr<const GrammarArtifact> artifact,
-      std::uint64_t generation, bool lint = true,
-      const LintOptions& lintOptions = {});
+      std::uint64_t generation);
 
   /// Monotonic publish counter: 0 for the initial snapshot, +1 per publish.
   std::uint64_t generation() const { return generation_; }

@@ -25,9 +25,7 @@ std::shared_ptr<const GrammarSnapshot> TenantMeter::buildSnapshot(
     throw NotTrained("TenantMeter: artifact grammar must be trained");
   }
   // fromArtifact rejects a null artifact.
-  return GrammarSnapshot::fromArtifact(std::move(artifact), gen,
-                                       config_.lintArtifacts,
-                                       config_.lintOptions);
+  return GrammarSnapshot::fromArtifact(std::move(artifact), gen);
 }
 
 TenantMeter::Score TenantMeter::score(std::string_view pw) const {
@@ -113,8 +111,8 @@ std::uint64_t TenantMeter::publishFromArtifact(
     std::shared_ptr<const GrammarArtifact> artifact) {
   obs::StageTimer span(obs::Histo::ServePublishLatency);
   const MutexLock lock(publishMutex_);
-  // Build (and lint) the snapshot before touching any service state: a
-  // rejection here must leave the previous grammar serving.
+  // Build the snapshot before touching any service state: a rejection
+  // here must leave the previous grammar serving.
   const std::uint64_t gen = nextGeneration_;
   auto snapshot = buildSnapshot(std::move(artifact), gen);
   ++nextGeneration_;

@@ -18,11 +18,17 @@
 //             RcuPtr (a shared_ptr copy under a pointer-sized critical
 //             section), consult a generation-keyed LRU cache for hot
 //             passwords, and then score with no synchronization at all;
-//   writer    publishFromArtifact() lints the artifact, wraps it in a
-//             snapshot under the next generation, and publishes it with
-//             one pointer swap. In-flight readers finish on the old
-//             snapshot; its memory is reclaimed when the last of them
-//             drops its reference (RCU lifetime rule).
+//   writer    publishFromArtifact() wraps the artifact in a snapshot
+//             under the next generation and publishes it with one pointer
+//             swap. In-flight readers finish on the old snapshot; its
+//             memory is reclaimed when the last of them drops its
+//             reference (RCU lifetime rule).
+//
+// TenantMeter serves what it is handed and does not audit it: the bytes
+// were validated by GrammarArtifact, and the semantics are trusted once,
+// by OnlineUpdater's gate, before an artifact gets here. A caller serving
+// an artifact from anywhere else lints it first (GrammarValidator,
+// analysis/grammar_lint.h), as `fuzzypsm stats --grammar` does.
 //
 // Guarantees:
 //   * Every score is computed against exactly one published snapshot; the
@@ -60,15 +66,6 @@ struct TenantMeterConfig {
   std::size_t cacheCapacity = 4096;
   /// Cache shards (lock striping for reader parallelism).
   std::size_t cacheShards = 8;
-  /// Lint artifacts (analysis/grammar_lint.h) before they are served, in
-  /// both the constructor and publishFromArtifact(). A grammar with
-  /// Error-severity diagnostics is rejected with GrammarLintError before
-  /// any reader can observe it. Off is a tooling override for serving
-  /// known-bad grammars (e.g. reproducing a production incident).
-  bool lintArtifacts = true;
-  /// Options for the lint gate above (mass tolerance, spot-check stride).
-  /// Ignored when lintArtifacts is off.
-  LintOptions lintOptions{};
 };
 
 class TenantMeter {
@@ -86,8 +83,7 @@ class TenantMeter {
   };
 
   /// Serves a compiled .fpsmb artifact (zero-copy, typically mmap'd) as
-  /// generation 0. Throws NotTrained on an untrained artifact and
-  /// GrammarLintError when the lint gate rejects it.
+  /// generation 0. Throws NotTrained on an untrained artifact.
   explicit TenantMeter(std::shared_ptr<const GrammarArtifact> artifact,
                        TenantMeterConfig config = {});
 
@@ -112,10 +108,10 @@ class TenantMeter {
                                 unsigned requestedThreads = 0) const
       FPSM_NO_CAPABILITY;
 
-  /// Replaces the served grammar with a compiled artifact: lints it, then
-  /// publishes it under the next generation. A rejected artifact throws
-  /// (NotTrained, GrammarLintError) and leaves the previous snapshot
-  /// serving. Returns the published generation.
+  /// Replaces the served grammar with a compiled artifact, published under
+  /// the next generation. An untrained artifact throws NotTrained and
+  /// leaves the previous snapshot serving. Returns the published
+  /// generation.
   std::uint64_t publishFromArtifact(
       std::shared_ptr<const GrammarArtifact> artifact)
       FPSM_EXCLUDES(publishMutex_);
@@ -141,7 +137,7 @@ class TenantMeter {
   Stats stats() const FPSM_NO_CAPABILITY;
 
  private:
-  /// Lints `artifact` and wraps it as generation `gen` (throws on reject).
+  /// Wraps `artifact` as generation `gen` (throws NotTrained on reject).
   std::shared_ptr<const GrammarSnapshot> buildSnapshot(
       std::shared_ptr<const GrammarArtifact> artifact,
       std::uint64_t gen) const FPSM_NO_CAPABILITY;

@@ -15,24 +15,16 @@
 //     ++counter;            // OK: mu held
 //   }
 //
-// CondVar deliberately has no predicate-lambda wait: Clang's analysis is
-// intraprocedural, so a predicate closure would read guarded fields in a
-// context the analysis cannot see the lock in. Callers write the standard
-// while-loop instead, which keeps every guarded read inside the annotated
-// critical section (see OnlineUpdater::compactorLoop for the canonical
-// shape).
+// There is no condition-variable wrapper: no code outside util/ waits on a
+// lock. Compaction runs on its caller's thread (OnlineUpdater::compactNow()).
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
 namespace fpsm {
-
-class CondVar;
 
 /// Exclusive mutex carrying the "mutex" capability. Same cost and semantics
 /// as the std::mutex it wraps.
@@ -47,7 +39,6 @@ class FPSM_CAPABILITY("mutex") Mutex {
   bool tryLock() FPSM_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
-  friend class CondVar;  // wait() needs the native handle to sleep on
   std::mutex m_;
 };
 
@@ -113,56 +104,6 @@ class FPSM_SCOPED_CAPABILITY ReaderLock {
 
  private:
   SharedMutex& mu_;
-};
-
-/// Condition variable bound to Mutex. Every wait entry point REQUIRES the
-/// mutex, so the analysis proves the wait happens inside the critical
-/// section that guards the predicate state. The mutex is re-held on return
-/// (standard condvar contract), which the analysis models as "capability
-/// unchanged across the call".
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, sleeps, and re-acquires `mu` before return.
-  void wait(Mutex& mu) FPSM_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();  // ownership stays with the caller's MutexLock
-  }
-
-  /// wait() with a timeout duration. Returns std::cv_status::timeout when
-  /// the duration elapsed without a notification.
-  template <typename Rep, typename Period>
-  std::cv_status waitFor(Mutex& mu,
-                         std::chrono::duration<Rep, Period> timeout)
-      FPSM_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(native, timeout);
-    native.release();
-    return status;
-  }
-
-  /// wait() with an absolute deadline — the building block for
-  /// predicate-loop waits that must not extend their overall timeout when
-  /// woken spuriously.
-  template <typename Clock, typename Duration>
-  std::cv_status waitUntil(Mutex& mu,
-                           std::chrono::time_point<Clock, Duration> deadline)
-      FPSM_REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_until(native, deadline);
-    native.release();
-    return status;
-  }
-
-  void notifyOne() { cv_.notify_one(); }
-  void notifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace fpsm

@@ -13,7 +13,7 @@
 // Naming follows the LLVM documentation's canonical macro set
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html) with an FPSM_
 // prefix. Use the wrapper types in util/mutex.h (Mutex, SharedMutex,
-// CondVar, MutexLock, ReaderLock) rather than annotating std types:
+// MutexLock, ReaderLock, WriterLock) rather than annotating std types:
 // tools/fpsm_lint enforces that no raw std::mutex appears outside util/.
 #pragma once
 

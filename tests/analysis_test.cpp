@@ -9,11 +9,12 @@
 //     granular lint entry points, for defects the byte loader would refuse
 //     to reproduce (mass drift, zero counts, unsorted/no-tree tries).
 //
-// Every seeded corruption asserts its exact LintCode, and the pre-publish
-// gate tests prove a linted-bad artifact cannot reach readers unless the
-// override is set.
+// Every seeded corruption asserts its exact LintCode, and the gate tests
+// prove a linted-bad artifact cannot reach readers through OnlineUpdater
+// (bootstrap, resume), while TenantMeter serves what it is handed.
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -25,6 +26,8 @@
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
+#include "online/generation_log.h"
+#include "online/online_updater.h"
 #include "serve/grammar_snapshot.h"
 #include "serve/tenant_meter.h"
 #include "trie/flat_trie.h"
@@ -373,47 +376,85 @@ TEST(GrammarLintTest, TamperedTrainedCountIsWarning) {
 }
 
 // ---------------------------------------------------------------------------
-// The dangling reference passes the byte loader but is stopped by the
-// pre-publish gate — the key end-to-end property of this layer.
+// The dangling reference passes the byte loader but is stopped by
+// OnlineUpdater's gate — the one place a generation is trusted — on both
+// paths into serving, bootstrap and resume. TenantMeter serves what it is
+// handed.
 // ---------------------------------------------------------------------------
 
 class LintGateTest : public ::testing::Test {
  protected:
-  std::shared_ptr<const GrammarArtifact> makeBadArtifact() {
+  /// The "12345" B5 structure retargeted at the never-trained B9 B9. The
+  /// semantic defect survives compilation AND byte validation.
+  FuzzyPsm makeBadPsm() {
     const std::string text = saveToText(makeTrainedPsm());
-    const FuzzyPsm bad = loadFromText(tamperLine(text, "B5\t", "B9B9\t2"));
-    // The semantic defect survives compilation AND byte validation.
-    return GrammarArtifact::fromBytes(compileArtifact(bad));
+    return loadFromText(tamperLine(text, "B5\t", "B9B9\t2"));
+  }
+  std::shared_ptr<const GrammarArtifact> makeBadArtifact() {
+    return GrammarArtifact::fromBytes(compileArtifact(makeBadPsm()));
+  }
+  /// Fresh scratch directory for a generation log.
+  static std::string logDir(const char* name) {
+    const std::string dir = testing::TempDir() + "lint_gate_" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
   }
 };
 
-TEST_F(LintGateTest, SnapshotGateRejectsBadArtifact) {
-  const auto artifact = makeBadArtifact();
+TEST_F(LintGateTest, BootstrapRejectsBadArtifact) {
+  const std::string dir = logDir("bootstrap");
   try {
-    GrammarSnapshot::fromArtifact(artifact, 1);
+    (void)OnlineUpdater::bootstrap(makeBadPsm(), dir);
     FAIL() << "expected GrammarLintError";
   } catch (const GrammarLintError& e) {
     EXPECT_TRUE(e.report().has(LintCode::DanglingSegmentRef));
     EXPECT_NE(std::string(e.what()).find("dangling-segment-ref"),
               std::string::npos);
   }
+  // The rejected grammar never reached the log, so a good one can still
+  // bootstrap there.
+  EXPECT_EQ(GenerationLog(dir).latest(), nullptr);
+  const auto updater = OnlineUpdater::bootstrap(makeTrainedPsm(), dir);
+  EXPECT_EQ(updater->stats().lastSequence, 1u);
 }
 
+TEST_F(LintGateTest, ResumeSkipsBadArtifactOnColdStart) {
+  const std::string dir = logDir("resume");
+  const FuzzyPsm good = makeTrainedPsm();
+  (void)OnlineUpdater::bootstrap(good, dir);
+  {
+    // The newest generation is the tampered grammar. The log only promises
+    // byte integrity, so it commits the bytes; the gate is resume's job.
+    const std::vector<std::byte> bad = compileArtifact(makeBadPsm());
+    GenerationLog log(dir);
+    ASSERT_EQ(log.append(bad.data(), bad.size()), 2u);
+  }
+  RecoveryReport report;
+  const auto resumed = OnlineUpdater::resume(dir, {}, &report);
+  ASSERT_EQ(report.skipped.size(), 1u) << report.render();
+  EXPECT_EQ(report.skipped[0].reason, RecoverySkipReason::LintRejected);
+  EXPECT_EQ(report.skipped[0].sequence, 2u);
+  EXPECT_NE(report.skipped[0].detail.find("dangling-segment-ref"),
+            std::string::npos);
+  // The generation before it serves.
+  EXPECT_EQ(resumed->stats().lastSequence, 1u);
+  EXPECT_EQ(resumed->service().score("password1").bits,
+            good.strengthBits("password1"));
+}
+
+// The serve layer has no audit to override any more: serving a lint-bad
+// artifact, once opt-in, is what GrammarSnapshot and TenantMeter always do
+// with a byte-valid artifact, whatever its semantics.
 TEST_F(LintGateTest, SnapshotGateOverrideServesBadArtifact) {
-  const auto snapshot =
-      GrammarSnapshot::fromArtifact(makeBadArtifact(), 1, /*lint=*/false);
+  const auto snapshot = GrammarSnapshot::fromArtifact(makeBadArtifact(), 1);
   EXPECT_TRUE(snapshot->trained());
 }
 
-TEST_F(LintGateTest, MeterServiceRejectsBadArtifactOnColdStart) {
-  EXPECT_THROW(MeterService{makeBadArtifact()}, GrammarLintError);
-}
-
 TEST_F(LintGateTest, MeterServiceOverrideServesBadArtifact) {
-  MeterServiceConfig config;
-  config.lintArtifacts = false;
-  MeterService service(makeBadArtifact(), config);
+  // At cold start and at publish.
+  MeterService service(makeBadArtifact());
   EXPECT_GE(service.score("password1").bits, 0.0);
+  EXPECT_EQ(service.publishFromArtifact(makeBadArtifact()), 1u);
 }
 
 TEST_F(LintGateTest, PublishFromArtifactKeepsServingOnRejection) {
@@ -421,8 +462,11 @@ TEST_F(LintGateTest, PublishFromArtifactKeepsServingOnRejection) {
       GrammarArtifact::fromBytes(compileArtifact(makeTrainedPsm()));
   MeterService service(good);
   const double before = service.score("password1").bits;
-  EXPECT_THROW(service.publishFromArtifact(makeBadArtifact()),
-               GrammarLintError);
+  FuzzyPsm untrained;
+  untrained.addBaseWord("password");
+  EXPECT_THROW(service.publishFromArtifact(
+                   GrammarArtifact::fromBytes(compileArtifact(untrained))),
+               NotTrained);
   // The rejected artifact must not have displaced the healthy grammar.
   EXPECT_EQ(service.generation(), 0u);
   EXPECT_EQ(service.score("password1").bits, before);

@@ -1,10 +1,10 @@
 // Observability battery (src/obs, DESIGN.md §14): histogram bucket
 // algebra, snapshot aggregation across thread shards, concurrent update
-// hammering (the `obs-tsan` preset's target: `ctest -L obs` in a Sanitize
-// tree), StageTimer semantics, and render-format shape. Every value
-// assertion is gated on FPSM_METRICS_ENABLED so the identical suite runs
-// under the metrics-off build, where it proves the kill switch: updates
-// are no-ops and snapshot() returns all-zero rows of the same shape.
+// hammering (the TSan target: `ctest --preset tsan -L obs`), StageTimer
+// semantics, and render-format shape. Every value assertion is gated on
+// FPSM_METRICS_ENABLED so the identical suite runs under the metrics-off
+// build, where it proves the kill switch: updates are no-ops and
+// snapshot() returns all-zero rows of the same shape.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>

@@ -1,7 +1,7 @@
 // Online-update battery (src/online): the streaming adaptive loop and its
-// append-only generation log. Carries the ctest label "online"; the drift
-// and rollback stress tests are the TSan targets of the `online-tsan`
-// preset.
+// append-only generation log. Carries the ctest label "online"; the drift,
+// rollback and concurrent-compaction stress tests are its TSan targets
+// (`ctest --preset tsan -L online`).
 //
 // What is pinned here:
 //   * crash recovery — every way a crash can damage the log (torn manifest
@@ -14,6 +14,8 @@
 //   * a golden digest of that final artifact, committed as a fixture, so
 //     the whole pipeline (parse, merge, canonical serialization, log
 //     framing) cannot drift silently;
+//   * one gate per served generation — bootstrap, every compaction that
+//     drains work, and resume each run the trust gate exactly once;
 //   * rollback — a lint-rejected generation is quarantined without a
 //     serving gap, observed by concurrent readers;
 //   * drift adaptation — a growing password family's strength estimate
@@ -41,6 +43,7 @@
 #include "corpus/dataset.h"
 #include "corpus/dataset_reader.h"
 #include "corpus/io.h"
+#include "obs/metrics.h"
 #include "online/generation_log.h"
 #include "online/online_updater.h"
 #include "util/error.h"
@@ -102,6 +105,15 @@ void appendRaw(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   out << data;
   ASSERT_TRUE(out.good());
+}
+
+/// Acceptance policy that refuses every candidate generation with a
+/// synthetic lint report.
+void rejectEveryCandidate(const FlatGrammarView&) {
+  LintReport report;
+  report.add(LintCode::MassNotConserved, LintSeverity::Error, "policy",
+             "rejected by test acceptance gate");
+  throw GrammarLintError(std::move(report));
 }
 
 /// Drives the committed fixture stream through an updater in file order,
@@ -580,6 +592,47 @@ TEST(OnlineUpdater, AcceptValidatesAndCoalesces) {
   EXPECT_FALSE(noop.published);
   EXPECT_EQ(noop.sequence, 0u);
   EXPECT_EQ(updater->log().entries().size(), 2u);
+  // The per-call count bound: 2^32 is admitted, one more is rejected,
+  // counted as invalid, and leaves the queue untouched.
+  constexpr std::uint64_t kBound = std::uint64_t{1} << 32;
+  EXPECT_EQ(OnlineUpdater::kMaxAcceptCount, kBound);
+  updater->accept("password1", kBound);
+  EXPECT_EQ(updater->pendingUpdates(), kBound);
+  const std::uint64_t invalidBefore =
+      obs::snapshot().counter(obs::Counter::OnlineAcceptInvalid);
+  EXPECT_THROW(updater->accept("password1", kBound + 1), InvalidArgument);
+  EXPECT_EQ(obs::snapshot().counter(obs::Counter::OnlineAcceptInvalid) -
+                invalidBefore,
+            FPSM_METRICS_ENABLED ? 1u : 0u);
+  EXPECT_EQ(updater->pendingUpdates(), kBound);
+}
+
+TEST(OnlineUpdater, GateRunsOncePerServedGeneration) {
+  const std::string dir = scratchDir("gatecount");
+  FuzzyPsm seed = fixtureBase();
+  seed.train(fixtureDataset("online_corpus.txt"));
+  auto calls = std::make_shared<std::uint64_t>(0);
+  OnlineUpdaterConfig cfg;
+  cfg.publishGate = [calls](const FlatGrammarView&) { ++*calls; };
+
+  auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
+  EXPECT_EQ(*calls, 1u) << "bootstrap gates generation 1 once";
+  EXPECT_FALSE(updater->compactNow().published);
+  EXPECT_EQ(*calls, 1u) << "a compaction that drains nothing gates nothing";
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    updater->accept("dragon123", 2);
+    const auto result = updater->compactNow();
+    ASSERT_TRUE(result.published) << result.rejection;
+    EXPECT_EQ(*calls, 1u + round) << "one gate per compaction";
+  }
+  updater.reset();
+
+  // A clean log: resume gates its newest generation once and serves it.
+  RecoveryReport report;
+  const auto resumed = OnlineUpdater::resume(dir, cfg, &report);
+  EXPECT_TRUE(report.clean()) << report.render();
+  EXPECT_EQ(resumed->stats().lastSequence, 4u);
+  EXPECT_EQ(*calls, 5u) << "one gate per resume of a clean log";
 }
 
 // -------------------------------------- the online-vs-batch determinism core
@@ -746,16 +799,12 @@ TEST(OnlineUpdater, LintRejectedGenerationRollsBackWithoutServingGap) {
   seed.train(fixtureDataset("online_corpus.txt"));
 
   OnlineUpdaterConfig cfg;
-  // Deterministic rejection injection via the extra acceptance gate:
-  // every candidate generation is refused with a synthetic lint report.
-  // Bootstrap itself is unaffected (the gate runs on compaction and
-  // resume, not on bootstrap), which is exactly the setup the rollback
-  // path needs.
-  cfg.publishGate = [](const FlatGrammarView&) {
-    LintReport report;
-    report.add(LintCode::MassNotConserved, LintSeverity::Error, "policy",
-               "rejected by test acceptance gate");
-    throw GrammarLintError(std::move(report));
+  // Deterministic rejection injection via the acceptance policy: the first
+  // candidate (bootstrap's generation 1) is admitted and every later one
+  // is refused, so every compaction below rolls back.
+  auto candidates = std::make_shared<int>(0);
+  cfg.publishGate = [candidates](const FlatGrammarView& grammar) {
+    if ((*candidates)++ > 0) rejectEveryCandidate(grammar);
   };
   auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
 
@@ -810,12 +859,14 @@ TEST(OnlineUpdater, LintRejectedGenerationRollsBackWithoutServingGap) {
   }
   updater.reset();
 
-  // Resume under the same poisoned gate: EVERY generation (including the
-  // bootstrap one) fails lint, so there is nothing servable — typed
-  // refusal, with each rejection reported.
+  // Resume under a gate that rejects everything: EVERY generation
+  // (including the bootstrap one) fails it, so there is nothing servable —
+  // typed refusal, with each rejection reported.
+  OnlineUpdaterConfig rejectAll;
+  rejectAll.publishGate = rejectEveryCandidate;
   RecoveryReport report;
   try {
-    (void)OnlineUpdater::resume(dir, cfg, &report);
+    (void)OnlineUpdater::resume(dir, rejectAll, &report);
     FAIL() << "poisoned lint gate must leave nothing servable";
   } catch (const GenerationLogError& e) {
     EXPECT_EQ(static_cast<int>(e.code()),
@@ -917,18 +968,23 @@ TEST(OnlineUpdater, DriftStressAdaptsMonotonicallyUnderConcurrentReaders) {
   EXPECT_EQ(updater->stats().rollbacks, 0u);
 }
 
-// --------------------------------------- background compactor smoke (TSan)
+// ---------------------------------- concurrent compaction under load (TSan)
 
 TEST(OnlineUpdater, BackgroundCompactorPublishesUnderLoad) {
   const std::string dir = scratchDir("background");
   FuzzyPsm seed = fixtureBase();
   seed.train(fixtureDataset("online_corpus.txt"));
-  OnlineUpdaterConfig cfg;
-  cfg.backgroundCompactor = true;
-  cfg.compactionInterval = std::chrono::milliseconds(5);
-  cfg.maxPendingUpdates = 64;
-  auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
+  auto updater = OnlineUpdater::bootstrap(seed, dir);
 
+  // The updater starts no thread; this test owns the background compactor:
+  // one thread runs compactNow() in a loop while two writers accept and a
+  // reader scores.
+  std::atomic<bool> writing{true};
+  std::thread compactor([&] {
+    while (writing.load(std::memory_order_acquire)) {
+      if (updater->compactNow().folded == 0) std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> writers;
   for (int w = 0; w < 2; ++w) {
     writers.emplace_back([&updater, w] {
@@ -944,7 +1000,9 @@ TEST(OnlineUpdater, BackgroundCompactorPublishesUnderLoad) {
     }
   });
   for (auto& t : writers) t.join();
-  // Flush whatever the background compactor has not picked up yet.
+  writing.store(false, std::memory_order_release);
+  compactor.join();
+  // Flush whatever the compactor thread has not picked up yet.
   const auto result = updater->compactNow();
   (void)result;  // may be a no-op if the compactor already drained it all
   stop.store(true, std::memory_order_release);
@@ -953,6 +1011,7 @@ TEST(OnlineUpdater, BackgroundCompactorPublishesUnderLoad) {
   const auto stats = updater->stats();
   EXPECT_EQ(stats.accepted, 400u);
   EXPECT_GE(stats.published, 1u);
+  EXPECT_EQ(stats.rollbacks, 0u);
   EXPECT_EQ(updater->pendingUpdates(), 0u);
   // Every accepted occurrence was folded exactly once: the served grammar
   // equals the oracle that folds all 400 in one step.

@@ -1,6 +1,6 @@
 // Multi-tenant registry battery (src/registry). Carries the ctest label
-// "registry"; the evict/reload stress test is the `registry-tsan` preset's
-// target.
+// "registry"; the evict/reload stress test is its TSan target
+// (`ctest --preset tsan -L registry`).
 //
 // What is pinned here:
 //   * the differential contract — a tenant served through GrammarRegistry
@@ -18,7 +18,9 @@
 //     refuses eviction until the cycle completes;
 //   * no serving gap — readers hammering score()/scoreBatch() while
 //     another thread evicts and reloads the same tenants always get
-//     bit-exact scores from one consistent snapshot.
+//     bit-exact scores from one consistent snapshot;
+//   * the accept boundary — an update whose count exceeds 2^32 throws,
+//     publishes nothing and is not counted as routed traffic.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -537,6 +539,36 @@ TEST(GrammarRegistryTest, TenantInfoAndStatsReportTraffic) {
   EXPECT_EQ(stats.routedUpdates, 2u);
   EXPECT_EQ(stats.coldLoads, 2u);
   EXPECT_EQ(stats.residentBytes, registry.residentBytes());
+}
+
+TEST(GrammarRegistryTest, OversizedUpdateCountsAreRejectedAndNotCounted) {
+  GrammarRegistryConfig cfg;
+  cfg.rootDir = scratchDir("countbound");
+  GrammarRegistry registry(cfg);
+  registry.addTenant("zh", tenantGrammar(0));
+  const auto before = registry.score("zh", "123456");
+
+  // Folded, these two counts would dwarf the trained corpus and move the
+  // most common password from weak to strong. accept() bounds n at 2^32,
+  // so both calls throw before anything is queued or counted, and so does
+  // a malformed password.
+  EXPECT_THROW(registry.update("zh", "abc", std::uint64_t{1} << 63),
+               InvalidArgument);
+  EXPECT_THROW(registry.update("zh", "xyz", std::uint64_t{1} << 62),
+               InvalidArgument);
+  EXPECT_THROW(registry.update("zh", "", 1), InvalidArgument);
+  const auto result = registry.compactTenant("zh");
+  EXPECT_FALSE(result.published);
+  EXPECT_EQ(result.folded, 0u);
+
+  const auto after = registry.score("zh", "123456");
+  EXPECT_EQ(after.generation, before.generation);
+  EXPECT_EQ(after.bits, before.bits);
+  EXPECT_EQ(registry.stats().routedUpdates, 0u);
+  const auto infos = registry.tenants();
+  ASSERT_EQ(infos.size(), 1u);
+  EXPECT_EQ(infos[0].routedUpdates, 0u);
+  EXPECT_EQ(infos[0].logGenerations, 1u);
 }
 
 }  // namespace

@@ -286,7 +286,7 @@ const std::regex kRawSync(
 const std::regex kRawThread(R"(std::j?thread\b)");
 const std::regex kRawArrayNew(R"((^|[^\w_])new\s+[\w:<>,\s]*\[)");
 const std::regex kLockToken(
-    R"(\b(MutexLock|ReaderLock|WriterLock|SharedMutex|Mutex|CondVar)\b|std::(mutex|shared_mutex|condition_variable|lock_guard|unique_lock|scoped_lock|shared_lock)\b|(\.|->)lock(Shared)?\(\))");
+    R"(\b(MutexLock|ReaderLock|WriterLock|SharedMutex|Mutex)\b|std::(mutex|shared_mutex|condition_variable|lock_guard|unique_lock|scoped_lock|shared_lock)\b|(\.|->)lock(Shared)?\(\))");
 const std::regex kNarrowCast(R"(static_cast<std::uint(8|16|32)_t>)");
 // R008: a metric update must be the only interesting thing on its line.
 // Clock reads belong inside obs::StageTimer (src/obs/stage_timer.h, the
@@ -317,8 +317,7 @@ const char* kHotPathFiles[] = {
 /// decision, same as a suppression.
 const char* kSelfSynchronizing[] = {
     "std::atomic", "RcuPtr",     "Mutex",       "SharedMutex",
-    "CondVar",     "std::thread", "ScoreCache", "UpdateQueue",
-    "TenantMeter",
+    "std::thread", "ScoreCache", "UpdateQueue", "TenantMeter",
 };
 
 class Linter {
@@ -337,7 +336,7 @@ class Linter {
           add(file, li, "R001", "raw-sync-primitive",
               "raw standard-library synchronization primitive outside "
               "src/util/",
-              "use fpsm::Mutex / MutexLock / CondVar from util/mutex.h so "
+              "use fpsm::Mutex / MutexLock from util/mutex.h so "
               "the lock is capability-annotated");
         }
         if (std::regex_search(code, kRawThread)) {

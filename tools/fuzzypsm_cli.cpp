@@ -51,12 +51,14 @@
 //       Render a metrics snapshot. With --file, re-render a dump written
 //       by --metrics-dump (the line-oriented JSON format of DESIGN.md §14)
 //       as a human-readable table, or echo it verbatim with --json. With
-//       --grammar, run a small worked example — score the given passwords
-//       (or a few sampled from the grammar) twice through a TenantMeter
-//       plus one scoreBatch call — and print the live snapshot, showing
-//       cache hits/misses and latency histograms end to end. Under a
-//       FPSM_METRICS=OFF build every metric renders as zero; the shape of
-//       both outputs is identical.
+//       --grammar, lint the grammar (an Error-severity finding fails the
+//       command, as it would fail OnlineUpdater's gate), then run a small
+//       worked example — score the given passwords (or a few sampled from
+//       the grammar) twice through a TenantMeter plus one scoreBatch
+//       call — and print the live snapshot, showing cache hits/misses and
+//       latency histograms end to end. Under a FPSM_METRICS=OFF build
+//       every metric renders as zero; the shape of both outputs is
+//       identical.
 //
 //   fuzzypsm compile --grammar GRAMMAR --out FILE.fpsmb
 //   fuzzypsm compile --base BASE.txt --training TRAIN.txt --out FILE.fpsmb
@@ -79,8 +81,7 @@
 //
 //   fuzzypsm update-loop --log DIR --stream FILE
 //            (--grammar GRAMMAR | --base BASE.txt --training TRAIN.txt)
-//            [--compact-every N] [--threads N] [--no-lint]
-//            [--metrics-dump FILE]
+//            [--compact-every N] [--threads N] [--metrics-dump FILE]
 //       Drive the streaming adaptive loop (src/online): bootstrap a
 //       generation log at DIR from the given grammar (or resume if DIR
 //       already has generations — then the grammar/corpus options are
@@ -88,7 +89,9 @@
 //       a new .fpsmb generation every N accepted occurrences (default
 //       10000) plus once at end-of-stream. Each generation is appended to
 //       the log, lint-gated, and published without blocking scorers;
-//       rejected generations roll back and are reported. Prints the final
+//       rejected generations roll back and are reported. A grammar the
+//       lint rejects cannot bootstrap, and resume skips a rejected
+//       generation and serves the one before it. Prints the final
 //       published sequence. The run is deterministic: the same inputs and
 //       cadence produce byte-identical generations at any --threads.
 //       --metrics-dump FILE writes the metrics snapshot after the run
@@ -879,7 +882,12 @@ int cmdStats(const Args& args) {
     Rng rng(std::stoull(args.option("seed", "7")));
     for (int i = 0; i < 8; ++i) pws.push_back(psm.sample(rng));
   }
-  const TenantMeter service(GrammarArtifact::fromBytes(compileArtifact(psm)));
+  auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
+  // TenantMeter serves what it is handed; a grammar read from disk is
+  // audited here, the way OnlineUpdater gates every generation it serves.
+  LintReport lint = GrammarValidator().lint(artifact->grammar());
+  if (!lint.ok()) throw GrammarLintError(std::move(lint));
+  const TenantMeter service(std::move(artifact));
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& pw : pws) (void)service.score(pw);
   }
@@ -901,7 +909,6 @@ int cmdUpdateLoop(const Args& args) {
 
   OnlineUpdaterConfig config;
   config.compactionThreads = threadsOption(args);
-  config.lintGate = !args.flag("no-lint");
 
   // Bootstrap on an empty/absent log, resume otherwise. Peek with a
   // throwaway GenerationLog: opening is recovery, so a fresh directory is
