@@ -25,7 +25,6 @@
 // can never mistake single-core numbers for a scaling result.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -108,11 +107,10 @@ std::vector<Dataset::Entry> synthesizeCorpus(std::size_t n) {
   return entries;
 }
 
-std::string artifactBytes(const FuzzyPsm& base, const GrammarCounts& counts) {
-  std::ostringstream out;
-  writeArtifact(out, base.config(), base.baseWords(), base.baseDictionary(),
-                base.reversedDictionary(), counts);
-  return out.str();
+std::vector<std::byte> artifactBytes(const FuzzyPsm& base,
+                                     const GrammarCounts& counts) {
+  return writeArtifact(base.config(), base.baseWords(), base.baseDictionary(),
+                       base.reversedDictionary(), counts);
 }
 
 /// Per-run pipeline stage times, in milliseconds. read/parse/merge come
@@ -180,7 +178,7 @@ int main(int argc, char** argv) {
     Stages stages;
   };
   std::vector<Row> rows;
-  std::string reference;
+  std::vector<std::byte> reference;
   bool byteIdentical = true;
 
   std::printf("\n%8s %10s %9s %9s %9s %9s %9s  artifact\n", "threads",
@@ -200,7 +198,7 @@ int main(int argc, char** argv) {
     const double ms = timer.millis();
 
     Timer emitTimer;
-    const std::string bytes = artifactBytes(base, counts);
+    const std::vector<std::byte> bytes = artifactBytes(base, counts);
     Stages stages;
     stages.emitMs = emitTimer.millis();
     const obs::MetricsSnapshot snap = obs::snapshot();

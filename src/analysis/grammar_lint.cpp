@@ -4,18 +4,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "artifact/artifact.h"
 #include "artifact/flat_grammar.h"
-#include "artifact/format.h"
-#include "core/fuzzy_psm.h"
+#include "core/grammar_counts.h"
 #include "trie/flat_trie.h"
-#include "trie/trie.h"
 #include "util/chars.h"
 
 namespace fpsm {
@@ -362,9 +358,15 @@ void GrammarValidator::lintFlatTrie(std::string_view locus,
                 "edge target " + std::to_string(target) +
                     " outside the node array (" + std::to_string(nodeCount) +
                     " nodes)");
-      } else if (target == FlatTrieView::kRoot) {
+      } else if (target <= node) {
+        // Trie::insert appends each child after its parent and
+        // FlatTrie::fromTrie keeps node ids, so every edge points forward.
+        // With one parent per node that makes every node reachable from
+        // the root: no cycle, and no piece detached from the walk.
         out.add(LintCode::TrieStructure, LintSeverity::Error, nodeLoc,
-                "edge target points at the root (cycle)");
+                "edge target " + std::to_string(target) +
+                    " does not follow its source node (cycle or detached "
+                    "subtree)");
       } else {
         ++incoming[target];
       }
@@ -398,68 +400,6 @@ void GrammarValidator::lintFlatTrie(std::string_view locus,
   }
 }
 
-void GrammarValidator::lintTrie(std::string_view locus, const Trie& trie,
-                                LintReport& out) const {
-  const std::string loc(locus);
-  const std::size_t nodeCount = trie.nodeCount();
-  // BFS from the root: the pointer trie's vectors are index-safe by
-  // construction, so the audit is about tree shape — every node reachable
-  // exactly once with sorted children, and the terminal count matching the
-  // advertised word count (the flat-side "count monotonicity" analogue).
-  std::vector<std::uint8_t> seen(nodeCount, 0);
-  std::queue<Trie::NodeId> frontier;
-  frontier.push(Trie::kRoot);
-  seen[Trie::kRoot] = 1;
-  std::size_t reached = 0;
-  std::uint64_t terminals = 0;
-  bool shapeDefect = false;
-  while (!frontier.empty() && !shapeDefect) {
-    const Trie::NodeId node = frontier.front();
-    frontier.pop();
-    ++reached;
-    if (trie.isTerminal(node)) ++terminals;
-    bool first = true;
-    char prevLabel = 0;
-    trie.forEachEdge(node, [&](char label, Trie::NodeId target) {
-      if (!first && prevLabel >= label) {
-        out.add(LintCode::TrieUnsortedChildren, LintSeverity::Error,
-                loc + ".node[" + std::to_string(node) + "]",
-                "edge labels not strictly ascending");
-        shapeDefect = true;
-      }
-      first = false;
-      prevLabel = label;
-      if (target >= nodeCount) {
-        out.add(LintCode::TrieIndexOutOfRange, LintSeverity::Error,
-                loc + ".node[" + std::to_string(node) + "]",
-                "edge target " + std::to_string(target) + " out of range");
-        shapeDefect = true;
-        return;
-      }
-      if (seen[target]) {
-        out.add(LintCode::TrieStructure, LintSeverity::Error,
-                loc + ".node[" + std::to_string(node) + "]",
-                "node " + std::to_string(target) +
-                    " reachable via two paths (not a tree)");
-        shapeDefect = true;
-        return;
-      }
-      seen[target] = 1;
-      frontier.push(target);
-    });
-  }
-  if (shapeDefect) return;
-  if (reached != nodeCount) {
-    out.add(LintCode::TrieStructure, LintSeverity::Error, loc,
-            std::to_string(nodeCount - reached) + " unreachable node(s)");
-  }
-  if (terminals != trie.size()) {
-    out.add(LintCode::TrieStructure, LintSeverity::Error, loc,
-            "terminal-node count " + std::to_string(terminals) +
-                " != stored word count " + std::to_string(trie.size()));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Whole-grammar audits
 // ---------------------------------------------------------------------------
@@ -473,9 +413,9 @@ std::string leetLocus(int rule) {
 
 }  // namespace
 
-bool GrammarValidator::lintCountsCore(const GrammarCounts& counts,
-                                      const FuzzyConfig& config,
-                                      LintReport& out) const {
+LintReport GrammarValidator::lint(const GrammarCounts& counts,
+                                  const FuzzyConfig& config) const {
+  LintReport out;
   lintTransformRule("config.cap", counts.capYes(), counts.capTotal(),
                     config.transformationPrior, out);
   if (config.matchReverse) {
@@ -490,7 +430,7 @@ bool GrammarValidator::lintCountsCore(const GrammarCounts& counts,
   if (counts.structures().total() == 0) {
     out.add(LintCode::NotTrained, LintSeverity::Warning, "structures",
             "grammar carries no counts; every score would throw NotTrained");
-    return false;
+    return out;
   }
 
   // Base structures: every key must decode, and every referenced B_n table
@@ -577,9 +517,9 @@ bool GrammarValidator::lintCountsCore(const GrammarCounts& counts,
   }
 
   // Cross-counter conservation. These counters are updated in lockstep by
-  // update(); drift means the grammar was assembled by something else (a
-  // tampered text save, a buggy migration) and transformation probabilities
-  // no longer reflect the corpus.
+  // addParse(); drift means the counts were assembled by something else (a
+  // counting bug, a buggy migration) and transformation probabilities no
+  // longer reflect the corpus.
   if (counts.structures().total() != counts.trainedPasswords()) {
     out.add(LintCode::CountInconsistency, LintSeverity::Warning,
             "structures",
@@ -601,24 +541,6 @@ bool GrammarValidator::lintCountsCore(const GrammarCounts& counts,
             "reverse decisions " + std::to_string(counts.revTotal()) +
                 " != capitalization decisions " +
                 std::to_string(counts.capTotal()));
-  }
-
-  return true;
-}
-
-LintReport GrammarValidator::lint(const GrammarCounts& counts,
-                                  const FuzzyConfig& config) const {
-  LintReport out;
-  lintCountsCore(counts, config, out);
-  return out;
-}
-
-LintReport GrammarValidator::lint(const FuzzyPsm& psm) const {
-  LintReport out;
-  if (!lintCountsCore(psm.counts(), psm.config(), out)) return out;
-  lintTrie("trie", psm.baseDictionary(), out);
-  if (psm.config().matchReverse) {
-    lintTrie("reversedTrie", psm.reversedDictionary(), out);
   }
   return out;
 }
@@ -748,22 +670,8 @@ LintReport GrammarValidator::lint(const FlatGrammarView& view) const {
 }
 
 LintReport lintGrammarFile(const std::string& path, LintOptions options) {
-  const GrammarValidator validator(options);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("cannot open grammar: " + path);
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  const bool artifact =
-      in.gcount() == sizeof(magic) && magic == kArtifactMagic;
-  in.close();
-  if (artifact) {
-    const auto art = GrammarArtifact::open(path);
-    return validator.lint(art->grammar());
-  }
-  std::ifstream text(path);
-  if (!text) throw IoError("cannot open grammar: " + path);
-  const FuzzyPsm psm = FuzzyPsm::load(text);
-  return validator.lint(psm);
+  const auto artifact = GrammarArtifact::open(path);
+  return GrammarValidator(options).lint(artifact->grammar());
 }
 
 }  // namespace fpsm

@@ -12,14 +12,18 @@
 // GrammarValidator audits a grammar one level above the byte format and
 // emits typed diagnostics, mirroring ArtifactError's fail-closed style:
 // every defect carries a stable LintCode, a severity, and a locus naming
-// the table/node/rule it was found in. It runs over all three grammar
-// representations:
+// the table/node/rule it was found in. A grammar is stored, read and
+// served only as an .fpsmb artifact, so there are two entry points:
 //
-//   * a live FuzzyPsm (including one reconstructed from a text save),
-//   * a zero-copy FlatGrammarView over a mapped .fpsmb artifact,
-//   * individual raw components (FlatTableView / FlatTrieView), so the
-//     corruption battery in tests/analysis_test.cpp can seed defects the
-//     byte loader would refuse to produce.
+//   * a zero-copy FlatGrammarView over a mapped .fpsmb artifact — what
+//     every trust point audits (OnlineUpdater's gate, lint-grammar,
+//     `stats --grammar`);
+//   * a bare GrammarCounts bundle with its config — the sharded trainer's
+//     per-shard debug lint, before anything is compiled;
+//
+// plus the granular audits of raw components (FlatTableView /
+// FlatTrieView), so the corruption battery in tests/analysis_test.cpp can
+// seed defects the byte loader would refuse to produce.
 //
 // Wire-in points:
 //   * `fuzzypsm lint-grammar` (tools/fuzzypsm_cli.cpp): exit code = worst
@@ -28,14 +32,13 @@
 //     mandatory pre-publish gate, run once per served generation — at
 //     bootstrap, at every compaction, and for each resume candidate — so
 //     a bad train run is rejected before it reaches readers;
-//   * `fuzzypsm stats --grammar`, which serves a grammar file from disk
+//   * `fuzzypsm stats --grammar`, which serves an artifact file from disk
 //     straight through a TenantMeter and so audits it itself;
 //   * FPSM_CHECK/FPSM_DCHECK (util/check.h) cover the per-access runtime
 //     side of the same invariants on the scoring hot path.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,12 +47,10 @@
 
 namespace fpsm {
 
-class FuzzyPsm;
 class FlatGrammarView;
 class FlatTableView;
 class FlatTrieView;
 class GrammarCounts;
-class Trie;
 struct FuzzyConfig;
 
 /// Stable diagnostic codes. The corruption battery asserts on the exact
@@ -151,18 +152,17 @@ class GrammarValidator {
 
   const LintOptions& options() const { return options_; }
 
-  /// Audits a live (or text-loaded) grammar.
-  LintReport lint(const FuzzyPsm& psm) const;
-
-  /// Audits a bare counts bundle against the config it was counted under —
-  /// the same transform-rule, structure, segment-table, and cross-counter
-  /// checks as lint(FuzzyPsm), minus the trie audits (a GrammarCounts
-  /// carries no dictionary). The sharded trainer runs this per shard in
-  /// debug builds, before merging, so a counting defect is pinned to the
-  /// shard that produced it.
+  /// Audits a bare counts bundle against the config it was counted under:
+  /// transform rules, structures, segment tables and cross-counter
+  /// conservation, without trie audits (a GrammarCounts carries no
+  /// dictionary). The sharded trainer runs this per shard in debug builds,
+  /// before merging, so a counting defect is pinned to the shard that
+  /// produced it.
   LintReport lint(const GrammarCounts& counts, const FuzzyConfig& config) const;
 
-  /// Audits the zero-copy view over a validated .fpsmb buffer.
+  /// Audits the zero-copy view over a validated .fpsmb buffer: the counts
+  /// checks above plus the trie audits. FlatTrie::fromTrie preserves node
+  /// ids, so lintFlatTrie sees the shape of the trie it was compiled from.
   LintReport lint(const FlatGrammarView& view) const;
 
   // --- granular entry points ----------------------------------------------
@@ -174,16 +174,13 @@ class GrammarValidator {
   void lintCountTable(std::string_view locus, const FlatTableView& table,
                       std::uint32_t expectLen, LintReport& out) const;
 
-  /// Audits a flat trie: edge slices in bounds, targets valid node ids,
-  /// labels strictly ascending per node, exactly one incoming edge per
-  /// non-root node, terminal count == word count.
+  /// Audits a flat trie: edge slices in bounds, targets valid node ids
+  /// that follow their source node, labels strictly ascending per node,
+  /// exactly one incoming edge per non-root node, terminal count == word
+  /// count. Together these make it a tree whose every node the root
+  /// reaches — the shape of the pointer trie it was compiled from.
   void lintFlatTrie(std::string_view locus, const FlatTrieView& trie,
                     LintReport& out) const;
-
-  /// Audits a pointer trie (the training-side representation) through its
-  /// public traversal surface.
-  void lintTrie(std::string_view locus, const Trie& trie,
-                LintReport& out) const;
 
   /// Audits one transformation rule's counters and the probabilities the
   /// meter derives from them: yes <= total, prior finite and non-negative,
@@ -193,21 +190,12 @@ class GrammarValidator {
                          LintReport& out) const;
 
  private:
-  /// Shared body of lint(FuzzyPsm) and lint(GrammarCounts, config): all
-  /// counts-level checks, in the exact order and with the exact loci the
-  /// corruption battery asserts on. Returns false on the NotTrained early
-  /// exit so lint(FuzzyPsm) knows to skip the trie audits, matching the
-  /// historical behavior.
-  bool lintCountsCore(const GrammarCounts& counts, const FuzzyConfig& config,
-                      LintReport& out) const;
-
   LintOptions options_;
 };
 
-/// Lints a grammar file of any on-disk representation: a compiled .fpsmb
-/// artifact (audited zero-copy, magic-sniffed) or a text save (loaded, then
-/// audited as a FuzzyPsm). I/O and parse failures throw (IoError /
-/// ArtifactError); semantic defects land in the returned report.
+/// Opens the .fpsmb artifact at `path` and audits it zero-copy. I/O and
+/// byte-level failures throw ArtifactError (an IoError; a file that is not
+/// an artifact is BadMagic); semantic defects land in the returned report.
 LintReport lintGrammarFile(const std::string& path, LintOptions options = {});
 
 }  // namespace fpsm

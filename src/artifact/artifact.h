@@ -1,6 +1,11 @@
 // GrammarArtifact — a validated, immutable .fpsmb buffer (mmap'd file or
 // owned bytes) plus the zero-copy FlatGrammarView read out of it.
 //
+// .fpsmb is the only format a grammar is stored in, and this class is its
+// only reader: every grammar file the CLI, the generation log and the
+// registry touch goes through open() or fromBytes(), and a file that is
+// not an artifact fails here with ArtifactErrorCode::BadMagic.
+//
 // Opening an artifact performs the full defensive validation pass
 // (format.h): header fields, section table geometry, per-section xxhash64
 // checksums, and structural bounds on every array (edge targets, string
@@ -17,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,24 +80,21 @@ class GrammarArtifact {
   std::vector<ArtifactSectionInfo> sections_;
 };
 
-/// Writes a .fpsmb artifact from the grammar's constituent parts: config,
-/// base dictionary (word list + tries), and a GrammarCounts bundle. This is
-/// the primitive every compile path funnels through — FuzzyPsm::saveBinary
-/// passes its own state, and the sharded trainer (src/train/) passes merged
-/// shard counts directly, skipping the text round trip. Deterministic: the
-/// artifact is a pure function of the arguments (entries are emitted in
-/// canonical lexicographic order), so counts assembled from any shard
-/// partitioning serialize byte-identically.
-void writeArtifact(std::ostream& out, const FuzzyConfig& config,
-                   const std::vector<std::string>& baseWords, const Trie& trie,
-                   const Trie& reversedTrie, const GrammarCounts& counts);
+/// Builds the .fpsmb bytes of a grammar from its constituent parts:
+/// config, base dictionary (word list + tries), and a GrammarCounts bundle.
+/// This is the primitive every compile path funnels through —
+/// compileArtifact passes a FuzzyPsm's state, and `fuzzypsm train` and
+/// OnlineUpdater's compaction pass merged counts directly. Deterministic:
+/// the artifact is a pure function of the arguments (entries are emitted
+/// in canonical lexicographic order), so counts assembled from any shard
+/// partitioning compile byte-identically.
+std::vector<std::byte> writeArtifact(const FuzzyConfig& config,
+                                     const std::vector<std::string>& baseWords,
+                                     const Trie& trie, const Trie& reversedTrie,
+                                     const GrammarCounts& counts);
 
 /// Compiles a trained grammar into .fpsmb bytes. Deterministic: the same
 /// grammar (same insertion/training sequence) produces identical bytes.
 std::vector<std::byte> compileArtifact(const FuzzyPsm& psm);
-
-/// Compiles `psm` to an artifact file at `path`. Throws IoError on
-/// filesystem failure.
-void writeArtifactFile(const FuzzyPsm& psm, const std::string& path);
 
 }  // namespace fpsm

@@ -1,14 +1,10 @@
-// Binary .fpsmb serialization of FuzzyPsm. These are FuzzyPsm members
-// (declared in core/fuzzy_psm.h for private access to the grammar counts)
-// but defined here so the core library stays free of artifact code: only
-// targets linking fpsm_artifact can compile or load binary grammars.
+// The .fpsmb writer (writeArtifact, compileArtifact) and
+// FuzzyPsm::fromArtifact — a FuzzyPsm member, declared in core/fuzzy_psm.h
+// for private access to the grammar counts, but defined here so the core
+// library stays free of artifact code: only targets linking fpsm_artifact
+// can compile or read grammars.
 #include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <istream>
-#include <iterator>
-#include <ostream>
-#include <sstream>
 
 #include "artifact/artifact.h"
 #include "artifact/checksum.h"
@@ -106,9 +102,10 @@ void writeTrie(Blob& out, const Trie& trie) {
 
 }  // namespace
 
-void writeArtifact(std::ostream& out, const FuzzyConfig& config,
-                   const std::vector<std::string>& baseWords, const Trie& trie,
-                   const Trie& reversedTrie, const GrammarCounts& counts) {
+std::vector<std::byte> writeArtifact(const FuzzyConfig& config,
+                                     const std::vector<std::string>& baseWords,
+                                     const Trie& trie, const Trie& reversedTrie,
+                                     const GrammarCounts& counts) {
   Blob sections[kArtifactSectionCount];
 
   // Config (fixed 152 bytes).
@@ -231,26 +228,12 @@ void writeArtifact(std::ostream& out, const FuzzyConfig& config,
     std::memcpy(file.data() + offsets[i], sections[i].bytes().data(),
                 sections[i].size());
   }
-
-  out.write(reinterpret_cast<const char*>(file.data()),
-            static_cast<std::streamsize>(file.size()));
-  if (!out) throw IoError("writeArtifact: write failed");
+  return file;
 }
 
-void FuzzyPsm::saveBinary(std::ostream& out) const {
-  writeArtifact(out, config_, baseWords_, trie_, reversedTrie_, counts_);
-}
-
-FuzzyPsm FuzzyPsm::loadBinary(std::istream& in) {
-  const std::string raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw ArtifactError(ArtifactErrorCode::Io, "stream read failed");
-  }
-  std::vector<std::byte> bytes(raw.size());
-  if (!raw.empty()) std::memcpy(bytes.data(), raw.data(), raw.size());
-  const auto artifact = GrammarArtifact::fromBytes(std::move(bytes));
-  return fromArtifact(*artifact);
+std::vector<std::byte> compileArtifact(const FuzzyPsm& psm) {
+  return writeArtifact(psm.config(), psm.baseWords(), psm.baseDictionary(),
+                       psm.reversedDictionary(), psm.counts());
 }
 
 FuzzyPsm FuzzyPsm::fromArtifact(const GrammarArtifact& artifact) {
@@ -283,23 +266,6 @@ FuzzyPsm FuzzyPsm::fromArtifact(const GrammarArtifact& artifact) {
   }
   counts.trainedPasswords_ = v.trainedPasswords();
   return psm;
-}
-
-std::vector<std::byte> compileArtifact(const FuzzyPsm& psm) {
-  std::ostringstream out;
-  psm.saveBinary(out);
-  const std::string raw = out.str();
-  std::vector<std::byte> bytes(raw.size());
-  if (!raw.empty()) std::memcpy(bytes.data(), raw.data(), raw.size());
-  return bytes;
-}
-
-void writeArtifactFile(const FuzzyPsm& psm, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw IoError("cannot open " + path + " for writing");
-  psm.saveBinary(out);
-  out.flush();
-  if (!out) throw IoError("write to " + path + " failed");
 }
 
 }  // namespace fpsm

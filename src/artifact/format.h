@@ -27,8 +27,8 @@
 //   Config      fixed 152 bytes: minBaseWordLen, flag bits, prior, and the
 //               cap/rev/leet counters + trainedPasswords
 //   BaseWords   u64 count; u64 poolBytes; u32 off[count+1]; char pool[]
-//               (insertion order — preserves the text format byte-for-byte
-//               across binary round trips)
+//               (insertion order, so compile -> read -> compile rebuilds
+//               the same tries and repeats every byte)
 //   BaseTrie    u32 nodeCount; u32 edgeCount; u64 wordCount;
 //   ReverseTrie u32 edgeBegin[nodeCount]; u32 edgeMeta[nodeCount];
 //               u32 edgeTargets[edgeCount]; char edgeLabels[edgeCount]
@@ -41,8 +41,8 @@
 //               lookups binary-search the mapped bytes directly
 //
 // Versioning policy: `version` is bumped on ANY layout change; readers
-// reject unknown versions outright (grammars are cheap to recompile from
-// the text form — compatibility shims are not worth silent-misread risk).
+// reject unknown versions outright (grammars are cheap to retrain from
+// their corpora — compatibility shims are not worth silent-misread risk).
 // `reserved` fields must be zero so they can become meaningful later
 // without being ambiguous against old garbage.
 #pragma once

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <queue>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/hash.h"
@@ -375,163 +372,6 @@ void FuzzyPsm::enumerateGuesses(std::uint64_t maxGuesses,
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Serialization: a line-oriented, tab-separated text format. Passwords are
-// printable ASCII (no tabs/newlines), so no escaping is needed.
-// ---------------------------------------------------------------------------
-
-void FuzzyPsm::save(std::ostream& out) const {
-  out << "fuzzypsm-grammar\t1\n";
-  out << "config\t" << config_.minBaseWordLen << '\t'
-      << (config_.matchCapitalization ? 1 : 0) << '\t'
-      << (config_.matchLeet ? 1 : 0) << '\t'
-      << (config_.retryTrieInsideRuns ? 1 : 0) << '\t'
-      << config_.transformationPrior << '\t'
-      << (config_.matchReverse ? 1 : 0) << '\n';
-  out << "basewords\t" << baseWords_.size() << '\n';
-  for (const auto& w : baseWords_) out << w << '\n';
-  out << "cap\t" << counts_.capYes() << '\t' << counts_.capTotal() << '\n';
-  out << "rev\t" << counts_.revYes() << '\t' << counts_.revTotal() << '\n';
-  for (int r = 0; r < kNumLeetRules; ++r) {
-    out << "leet\t" << r << '\t' << counts_.leetYes(r) << '\t'
-        << counts_.leetTotal(r) << '\n';
-  }
-  out << "structures\t" << counts_.structures().distinct() << '\n';
-  for (const auto& item : counts_.structures().sortedDesc()) {
-    out << item.form << '\t' << item.count << '\n';
-  }
-  // Emit tables in ascending length order: the hash map's iteration order
-  // depends on insertion history, and save() must be a pure function of the
-  // grammar so that save -> load -> save round-trips byte-identically.
-  const std::vector<std::size_t> lengths = counts_.segmentLengths();
-  out << "tables\t" << lengths.size() << '\n';
-  for (const std::size_t len : lengths) {
-    const SegmentTable& table = *counts_.segmentTable(len);
-    out << "table\t" << len << '\t' << table.distinct() << '\n';
-    for (const auto& item : table.sortedDesc()) {
-      out << item.form << '\t' << item.count << '\n';
-    }
-  }
-  out << "trained\t" << counts_.trainedPasswords() << '\n';
-}
-
-namespace {
-
-std::string expectLine(std::istream& in, const char* what) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw IoError(std::string("FuzzyPsm::load: truncated input at ") + what);
-  }
-  return line;
-}
-
-std::vector<std::string> splitTabs(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      out.push_back(line.substr(start));
-      return out;
-    }
-    out.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-}
-
-}  // namespace
-
-FuzzyPsm FuzzyPsm::load(std::istream& in) {
-  const auto header = splitTabs(expectLine(in, "header"));
-  if (header.size() != 2 || header[0] != "fuzzypsm-grammar" ||
-      header[1] != "1") {
-    throw IoError("FuzzyPsm::load: bad header");
-  }
-  const auto cfg = splitTabs(expectLine(in, "config"));
-  if (cfg.size() != 7 || cfg[0] != "config") {
-    throw IoError("FuzzyPsm::load: bad config line");
-  }
-  FuzzyConfig config;
-  config.minBaseWordLen = std::stoul(cfg[1]);
-  config.matchCapitalization = cfg[2] == "1";
-  config.matchLeet = cfg[3] == "1";
-  config.retryTrieInsideRuns = cfg[4] == "1";
-  config.transformationPrior = std::stod(cfg[5]);
-  config.matchReverse = cfg[6] == "1";
-  FuzzyPsm psm(config);
-
-  const auto bw = splitTabs(expectLine(in, "basewords"));
-  if (bw.size() != 2 || bw[0] != "basewords") {
-    throw IoError("FuzzyPsm::load: bad basewords line");
-  }
-  const std::size_t nWords = std::stoul(bw[1]);
-  for (std::size_t i = 0; i < nWords; ++i) {
-    psm.addBaseWord(expectLine(in, "baseword"));
-  }
-
-  const auto cap = splitTabs(expectLine(in, "cap"));
-  if (cap.size() != 3 || cap[0] != "cap") {
-    throw IoError("FuzzyPsm::load: bad cap line");
-  }
-  psm.counts_.capYes_ = std::stoull(cap[1]);
-  psm.counts_.capTotal_ = std::stoull(cap[2]);
-
-  const auto rev = splitTabs(expectLine(in, "rev"));
-  if (rev.size() != 3 || rev[0] != "rev") {
-    throw IoError("FuzzyPsm::load: bad rev line");
-  }
-  psm.counts_.revYes_ = std::stoull(rev[1]);
-  psm.counts_.revTotal_ = std::stoull(rev[2]);
-
-  for (int r = 0; r < kNumLeetRules; ++r) {
-    const auto leet = splitTabs(expectLine(in, "leet"));
-    if (leet.size() != 4 || leet[0] != "leet" || std::stoi(leet[1]) != r) {
-      throw IoError("FuzzyPsm::load: bad leet line");
-    }
-    const auto i = static_cast<std::size_t>(r);
-    psm.counts_.leetYes_[i] = std::stoull(leet[2]);
-    psm.counts_.leetTotal_[i] = std::stoull(leet[3]);
-  }
-
-  const auto st = splitTabs(expectLine(in, "structures"));
-  if (st.size() != 2 || st[0] != "structures") {
-    throw IoError("FuzzyPsm::load: bad structures line");
-  }
-  const std::size_t nStructs = std::stoul(st[1]);
-  for (std::size_t i = 0; i < nStructs; ++i) {
-    const auto row = splitTabs(expectLine(in, "structure row"));
-    if (row.size() != 2) throw IoError("FuzzyPsm::load: bad structure row");
-    psm.counts_.structures_.add(row[0], std::stoull(row[1]));
-  }
-
-  const auto tb = splitTabs(expectLine(in, "tables"));
-  if (tb.size() != 2 || tb[0] != "tables") {
-    throw IoError("FuzzyPsm::load: bad tables line");
-  }
-  const std::size_t nTables = std::stoul(tb[1]);
-  for (std::size_t t = 0; t < nTables; ++t) {
-    const auto th = splitTabs(expectLine(in, "table header"));
-    if (th.size() != 3 || th[0] != "table") {
-      throw IoError("FuzzyPsm::load: bad table header");
-    }
-    const std::size_t len = std::stoul(th[1]);
-    const std::size_t rows = std::stoul(th[2]);
-    auto& table = psm.counts_.segments_[len];
-    for (std::size_t i = 0; i < rows; ++i) {
-      const auto row = splitTabs(expectLine(in, "table row"));
-      if (row.size() != 2) throw IoError("FuzzyPsm::load: bad table row");
-      table.add(row[0], std::stoull(row[1]));
-    }
-  }
-
-  const auto tr = splitTabs(expectLine(in, "trained"));
-  if (tr.size() != 2 || tr[0] != "trained") {
-    throw IoError("FuzzyPsm::load: bad trained line");
-  }
-  psm.counts_.trainedPasswords_ = std::stoull(tr[1]);
-  return psm;
 }
 
 }  // namespace fpsm

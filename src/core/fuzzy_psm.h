@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -94,15 +93,15 @@ class FuzzyPsm : public ProbabilisticModel {
   void strengthBitsBatch(const std::string_view* pws, std::size_t n,
                          double* out) const;
 
-  // --- grammar introspection (Tables IV-VI, serialization, tests) -------
+  // --- grammar introspection (Tables IV-VI, the artifact writer, tests) --
   const FuzzyConfig& config() const { return config_; }
   const Trie& baseDictionary() const { return trie_; }
   /// The full counting state (src/core/grammar_counts.h): what training
-  /// produced and what serialization persists. The sharded trainer and the
+  /// produced and what the artifact persists. The sharded trainer and the
   /// artifact writer consume this directly.
   const GrammarCounts& counts() const { return counts_; }
-  /// Base words in insertion order (serialization replays this sequence to
-  /// rebuild the tries identically).
+  /// Base words in insertion order (the artifact stores this sequence, and
+  /// fromArtifact replays it to rebuild the tries identically).
   const std::vector<std::string>& baseWords() const { return baseWords_; }
   const SegmentTable& structures() const { return counts_.structures(); }
   /// Table for B_n, or nullptr if no segment of that length was seen.
@@ -138,23 +137,15 @@ class FuzzyPsm : public ProbabilisticModel {
   /// transformation decisions). Measuring is derivationLog2Prob(parse(pw)).
   double derivationLog2Prob(const FuzzyParse& parse) const;
 
-  // --- serialization -----------------------------------------------------
-  /// Writes the full grammar (base words, counts, config) as text.
-  void save(std::ostream& out) const;
-  /// Reads a grammar previously written by save().
-  static FuzzyPsm load(std::istream& in);
-
-  // Binary .fpsmb artifact format (src/artifact/format.h). Declared here
-  // for private-member access but defined in src/artifact/binary_io.cpp so
-  // the core library carries no artifact dependency; linking these symbols
-  // requires fpsm_artifact.
-  /// Writes the grammar as a flat binary artifact. Deterministic: a
-  /// save -> loadBinary -> saveBinary round trip is byte-identical.
-  void saveBinary(std::ostream& out) const;
-  /// Reads a grammar previously written by saveBinary(). Throws
-  /// ArtifactError on malformed input.
-  static FuzzyPsm loadBinary(std::istream& in);
-  /// Materializes an in-memory grammar from a validated artifact.
+  // --- the .fpsmb artifact -------------------------------------------------
+  // A grammar is stored only as an .fpsmb artifact (src/artifact/format.h):
+  // compileArtifact() writes one from this object's public state, and
+  // GrammarArtifact is the one reader.
+  /// Materializes an in-memory grammar from a validated artifact. Declared
+  /// here for private-member access but defined in
+  /// src/artifact/binary_io.cpp, so the core library carries no artifact
+  /// dependency; linking it requires fpsm_artifact. Re-compiling the
+  /// result gives the artifact's bytes back.
   static FuzzyPsm fromArtifact(const class GrammarArtifact& artifact);
 
  private:
@@ -165,7 +156,7 @@ class FuzzyPsm : public ProbabilisticModel {
   FuzzyConfig config_;
   Trie trie_;
   Trie reversedTrie_;  // populated only when config_.matchReverse
-  std::vector<std::string> baseWords_;  // for serialization
+  std::vector<std::string> baseWords_;  // insertion order, for the artifact
 
   GrammarCounts counts_;
 };

@@ -14,13 +14,18 @@
 //   * merge() is commutative and associative by construction: every
 //     counter is a sum and every table a multiset of (form, count)
 //     additions, so shards can be combined in any order — or any grouping —
-//     and yield the same counts. Serialization orders tables canonically
-//     (lexicographic in the artifact, count-desc in the text form), so
-//     equal counts mean byte-identical saved grammars regardless of how
-//     many threads produced them (tests/train_test.cpp).
+//     and yield the same counts. The artifact writer orders tables
+//     canonically (lexicographic), so equal counts mean byte-identical
+//     .fpsmb artifacts regardless of how many threads produced them
+//     (tests/train_test.cpp).
+//
+// Every addition is checked: a count that would overflow 64 bits throws
+// InvalidArgument instead of wrapping, so no sequence of updates can turn
+// a large count into a small one.
 //
 // FuzzyPsm owns one GrammarCounts and stays the scoring facade; it is a
-// friend so the text/binary deserializers can restore raw counters.
+// friend so the artifact reader (FuzzyPsm::fromArtifact) can restore raw
+// counters.
 #pragma once
 
 #include <array>
@@ -41,12 +46,16 @@ class GrammarCounts {
   /// structure, every segment's base form into the B_n table of its length,
   /// and one decision per transformation site. `countReverse` mirrors
   /// FuzzyConfig::matchReverse — reverse decisions are only counted when
-  /// the rule is part of the grammar.
+  /// the rule is part of the grammar. Throws InvalidArgument when a count
+  /// would overflow; the bundle is then partly updated and must be
+  /// discarded.
   void addParse(const FuzzyParse& parse, std::uint64_t n, bool countReverse);
 
   /// Adds every counter of `other` into this object. Order-independent:
   /// for any sequence of merges over a fixed multiset of shards, the
-  /// resulting counts are identical (see header comment).
+  /// resulting counts are identical (see header comment). Throws
+  /// InvalidArgument when a count would overflow; the bundle is then partly
+  /// merged and must be discarded (OnlineUpdater merges into a copy).
   void merge(const GrammarCounts& other);
 
   /// True when no password has been counted.
@@ -72,9 +81,9 @@ class GrammarCounts {
   std::uint64_t trainedPasswords() const { return trainedPasswords_; }
 
  private:
-  // The deserializers (FuzzyPsm::load and the .fpsmb reader in
-  // src/artifact/binary_io.cpp, which is a FuzzyPsm member) restore raw
-  // counters directly instead of replaying parses.
+  // The .fpsmb reader (FuzzyPsm::fromArtifact, defined in
+  // src/artifact/binary_io.cpp) restores raw counters directly instead of
+  // replaying parses.
   friend class FuzzyPsm;
 
   SegmentTable structures_;

@@ -8,13 +8,16 @@ namespace fpsm {
 
 void SegmentTable::add(std::string_view form, std::uint64_t n) {
   if (n == 0) return;
+  // Every count is at most total_, so a total that fits means the entry's
+  // new count fits too; checking first leaves the table untouched on throw.
+  const std::uint64_t total = checkedCountAdd(total_, n, "SegmentTable::add");
   auto it = counts_.find(form);
   if (it == counts_.end()) {
     counts_.emplace(std::string(form), n);
   } else {
     it->second += n;
   }
-  total_ += n;
+  total_ = total;
   dirty_ = true;
 }
 

@@ -23,6 +23,8 @@ class SegmentTable {
     std::uint64_t count;
   };
 
+  /// Adds n occurrences of form. Throws InvalidArgument, leaving the table
+  /// unchanged, when the total would overflow 64 bits.
   void add(std::string_view form, std::uint64_t n = 1);
 
   std::uint64_t count(std::string_view form) const;

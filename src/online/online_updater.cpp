@@ -1,6 +1,5 @@
 #include "online/online_updater.h"
 
-#include <sstream>
 #include <utility>
 
 #include "analysis/grammar_lint.h"
@@ -107,11 +106,11 @@ void OnlineUpdater::accept(std::string_view pw, std::uint64_t n) {
                             " occurrences exceed the per-call bound of 2^32");
     }
     validatePassword(pw);
+    shards_[StringHash{}(pw) % shards_.size()].push(pw, n);
   } catch (...) {
     obs::count(obs::Counter::OnlineAcceptInvalid);
     throw;
   }
-  shards_[StringHash{}(pw) % shards_.size()].push(pw, n);
   accepted_.fetch_add(n, std::memory_order_relaxed);
   obs::count(obs::Counter::OnlineAccepted, n);
   const std::uint64_t pending =
@@ -166,17 +165,24 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
   obs::StageTimer trainSpan(obs::Histo::OnlineCompactTrain);
   TrainOptions topts;
   topts.threads = config_.compactionThreads;
-  const GrammarCounts delta =
-      ShardedTrainer(base_, topts).countEntries(entries);
-  GrammarCounts merged = base_.counts();
-  merged.merge(delta);
+  GrammarCounts delta;
+  GrammarCounts merged;
+  try {
+    delta = ShardedTrainer(base_, topts).countEntries(entries);
+    merged = base_.counts();
+    merged.merge(delta);
+  } catch (const InvalidArgument& e) {
+    // A count that would overflow 64 bits is rejected like a gate failure,
+    // one step earlier: nothing reaches the log.
+    rollBack(res, e.what());
+    return res;
+  }
   trainSpan.stop();
 
   obs::StageTimer writeSpan(obs::Histo::OnlineCompactWrite);
-  std::ostringstream artifactBytes(std::ios::binary);
-  writeArtifact(artifactBytes, base_.config(), base_.baseWords(),
-                base_.baseDictionary(), base_.reversedDictionary(), merged);
-  const std::string bytes = artifactBytes.str();
+  const std::vector<std::byte> bytes =
+      writeArtifact(base_.config(), base_.baseWords(), base_.baseDictionary(),
+                    base_.reversedDictionary(), merged);
   res.sequence = log_.append(bytes.data(), bytes.size());
   writeSpan.stop();
 
@@ -200,17 +206,21 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
     obs::count(obs::Counter::OnlinePublished);
     lastSequence_.store(res.sequence, std::memory_order_relaxed);
   } catch (const Error& e) {
-    // Rollback: cumulative counts untouched, previous snapshot keeps
-    // serving, the bad generation stays quarantined in the log. The
-    // drained occurrences are dropped, not re-queued — a batch that
-    // deterministically produces a rejected grammar would wedge the loop.
-    rollbacks_.fetch_add(1, std::memory_order_relaxed);
-    quarantined_.fetch_add(res.folded, std::memory_order_relaxed);
-    obs::count(obs::Counter::OnlineGateRejections);
-    obs::count(obs::Counter::OnlineQuarantined, res.folded);
-    res.rejection = e.what();
+    // The bad generation stays quarantined in the log.
+    rollBack(res, e.what());
   }
   return res;
+}
+
+void OnlineUpdater::rollBack(CompactionResult& res, std::string rejection) {
+  // Cumulative counts untouched, previous snapshot keeps serving. The
+  // drained occurrences are dropped, not re-queued — a batch that
+  // deterministically produces a rejected grammar would wedge the loop.
+  rollbacks_.fetch_add(1, std::memory_order_relaxed);
+  quarantined_.fetch_add(res.folded, std::memory_order_relaxed);
+  obs::count(obs::Counter::OnlineGateRejections);
+  obs::count(obs::Counter::OnlineQuarantined, res.folded);
+  res.rejection = std::move(rejection);
 }
 
 std::uint64_t OnlineUpdater::pendingUpdates() const {

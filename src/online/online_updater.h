@@ -29,7 +29,9 @@
 //                never touched (the merge happened on a copy), the bad
 //                generation stays quarantined in the log (never served,
 //                sequence retired), and readers keep scoring the previous
-//                snapshot with no serving gap. The drained occurrences are
+//                snapshot with no serving gap. A merge that would overflow
+//                a 64-bit count rolls back the same way before the append,
+//                so nothing reaches the log. The drained occurrences are
 //                counted as quarantined rather than re-queued — replaying
 //                a batch that deterministically produces a rejected
 //                grammar would wedge the loop.
@@ -104,22 +106,22 @@ class OnlineUpdater {
     std::uint64_t generation = 0;  ///< TenantMeter generation published
     std::uint64_t folded = 0;      ///< occurrences drained into the batch
     bool published = false;        ///< false: empty batch, or rolled back
-    std::string rejection;         ///< gate failure message when rolled back
+    std::string rejection;         ///< why it rolled back (gate, overflow)
   };
 
   struct Stats {
     std::uint64_t accepted = 0;     ///< occurrences accepted via accept()
     std::uint64_t compactions = 0;  ///< compactNow() cycles that drained work
     std::uint64_t published = 0;    ///< generations that passed all gates
-    std::uint64_t rollbacks = 0;    ///< generations rejected by a gate
+    std::uint64_t rollbacks = 0;    ///< compactions rolled back
     std::uint64_t quarantined = 0;  ///< occurrences lost to rollbacks
     std::uint64_t lastSequence = 0; ///< newest published log sequence
   };
 
   /// Largest occurrence count one accept() call may fold. Counts are
-  /// summed in 64-bit fields from the queue to the artifact; with each
-  /// call capped at 2^32, a sum needs 2^32 calls to wrap, where two
-  /// uncapped calls (2^63 + 2^63) wrap to 0.
+  /// summed in 64-bit fields from the queue to the artifact, and every
+  /// addition is checked (an overflow throws in accept() and rolls back in
+  /// compactNow()); the cap keeps one call from reaching that limit alone.
   static constexpr std::uint64_t kMaxAcceptCount = std::uint64_t{1} << 32;
 
   /// Starts a fresh log at `directory` from a trained grammar: compiles it,
@@ -146,16 +148,18 @@ class OnlineUpdater {
 
   /// The serve path's update hook: validates and enqueues n occurrences of
   /// an accepted password. Never blocks on compaction; throws
-  /// InvalidArgument on malformed passwords and on n > kMaxAcceptCount.
-  /// Pending occurrences are discarded if the updater is destroyed before
-  /// a compactNow() folds them.
+  /// InvalidArgument on malformed passwords, on n > kMaxAcceptCount, and
+  /// when a shard's pending total would overflow 64 bits. Pending
+  /// occurrences are discarded if the updater is destroyed before a
+  /// compactNow() folds them.
   void accept(std::string_view pw, std::uint64_t n = 1)
       FPSM_EXCLUDES(compactionMutex_);
 
   /// Runs one compaction cycle synchronously (see class comment). Returns
-  /// what happened; never throws on gate failure — a rejected generation
-  /// is a reported rollback, not an exception, because the loop must keep
-  /// serving. Filesystem failures (GenerationLogError) do propagate.
+  /// what happened; never throws on gate failure or count overflow — a
+  /// rejected generation is a reported rollback, not an exception, because
+  /// the loop must keep serving. Filesystem failures (GenerationLogError)
+  /// do propagate.
   CompactionResult compactNow() FPSM_EXCLUDES(compactionMutex_);
 
   /// Scoring surface: the underlying serving unit. Scores always come from
@@ -194,6 +198,9 @@ class OnlineUpdater {
   /// Pays the one-time FuzzyPsm materialization for a deferred-base
   /// updater (see baseArtifact_). No-op once base_ is live.
   void materializeBaseLocked() FPSM_REQUIRES(compactionMutex_);
+  /// Counts a rejected compaction (rollbacks, quarantined occurrences) and
+  /// records why in `res`.
+  void rollBack(CompactionResult& res, std::string rejection);
 
   const OnlineUpdaterConfig config_;  // immutable after construction
 

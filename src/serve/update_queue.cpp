@@ -1,17 +1,22 @@
 #include "serve/update_queue.h"
 
+#include "util/error.h"
+
 namespace fpsm {
 
 void UpdateQueue::push(std::string_view pw, std::uint64_t n) {
   if (n == 0) return;
   const MutexLock lock(mutex_);
+  // Every pending count is at most total_, so a total that fits means the
+  // coalesced count fits too; checking first leaves the queue untouched.
+  const std::uint64_t total = checkedCountAdd(total_, n, "UpdateQueue::push");
   const auto it = pending_.find(pw);
   if (it == pending_.end()) {
     pending_.emplace(std::string(pw), n);
   } else {
     it->second += n;
   }
-  total_ += n;
+  total_ = total;
 }
 
 UpdateQueue::Batch UpdateQueue::drain() {

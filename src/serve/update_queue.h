@@ -31,7 +31,8 @@ class UpdateQueue {
   using Batch = std::vector<std::pair<std::string, std::uint64_t>>;
 
   /// Records n more occurrences of pw. Thread-safe; never blocks on
-  /// compaction beyond the queue mutex.
+  /// compaction beyond the queue mutex. Throws InvalidArgument, leaving the
+  /// queue unchanged, when the pending total would overflow 64 bits.
   void push(std::string_view pw, std::uint64_t n = 1) FPSM_EXCLUDES(mutex_);
 
   /// Atomically takes the entire pending batch (empty if nothing pending).

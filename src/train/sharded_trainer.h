@@ -12,13 +12,12 @@
 //      thread-local GrammarCounts shard;
 //   3. merge the shards. GrammarCounts::merge is commutative and
 //      associative, so any partitioning yields the same counts — and since
-//      both serializations order entries canonically, the same bytes.
+//      the artifact writer orders entries canonically, the same bytes.
 //
 // Determinism contract (tests/train_test.cpp): for a fixed base dictionary,
 // config, and entry multiset, the merged counts — and therefore the .fpsmb
-// artifact and the text save — are byte-identical across thread counts,
-// chunk sizes, and entry order, and identical to sequential
-// FuzzyPsm::train.
+// artifact — are byte-identical across thread counts, chunk sizes, and
+// entry order, and identical to sequential FuzzyPsm::train.
 //
 // In debug builds (and sanitizer builds, which keep assertions on) each
 // shard is linted pre-merge with the GrammarCounts overload of

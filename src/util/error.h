@@ -5,6 +5,8 @@
 // message. No error codes are threaded through the APIs.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -33,5 +35,15 @@ class IoError : public Error {
  public:
   explicit IoError(const std::string& what) : Error(what) {}
 };
+
+/// a + b for occurrence counts. Throws InvalidArgument naming `where`
+/// when the sum does not fit 64 bits, where a plain += would wrap.
+inline std::uint64_t checkedCountAdd(std::uint64_t a, std::uint64_t b,
+                                     const char* where) {
+  if (b > std::numeric_limits<std::uint64_t>::max() - a) {
+    throw InvalidArgument(std::string(where) + ": count overflows 64 bits");
+  }
+  return a + b;
+}
 
 }  // namespace fpsm

@@ -1,10 +1,13 @@
 // GrammarValidator battery (ctest label: lint).
 //
-// Two corruption channels drive the tests, matching how a bad grammar can
+// Three corruption channels drive the tests, matching how a bad grammar can
 // actually reach production:
-//   * text tampering — FuzzyPsm::save output edited line-wise, then
-//     reloaded (load() trusts counter relationships, so semantic defects
-//     survive into a live grammar and even into a compiled artifact);
+//   * counts tampering — a bare parse folded in with GrammarCounts::
+//     addParse + absorbCounts, bypassing the parser (the defect survives
+//     compilation and byte validation), or a counts bundle linted directly
+//     with lint(GrammarCounts, config) for defects the byte loader rejects;
+//   * byte tampering — a compiled artifact edited in place, checksums
+//     repaired (tests/artifact_tamper.h), so the loader accepts it;
 //   * raw views — hand-built FlatTableView/FlatTrieView fed to the
 //     granular lint entry points, for defects the byte loader would refuse
 //     to reproduce (mass drift, zero counts, unsorted/no-tree tries).
@@ -17,7 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,12 +28,14 @@
 
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
+#include "artifact_tamper.h"
 #include "core/fuzzy_psm.h"
 #include "online/generation_log.h"
 #include "online/online_updater.h"
 #include "serve/grammar_snapshot.h"
 #include "serve/tenant_meter.h"
 #include "trie/flat_trie.h"
+#include "trie/trie.h"
 #include "util/check.h"
 
 namespace fpsm {
@@ -48,34 +53,22 @@ FuzzyPsm makeTrainedPsm(FuzzyConfig config = {}) {
   return psm;
 }
 
-std::string saveToText(const FuzzyPsm& psm) {
-  std::ostringstream out;
-  psm.save(out);
-  return out.str();
+/// The trained grammar plus two occurrences of a bare B9 B9 structure whose
+/// segments were never counted: a dangling reference. The semantic defect
+/// survives compilation AND byte validation.
+FuzzyPsm makeDanglingPsm() {
+  FuzzyPsm psm = makeTrainedPsm();
+  GrammarCounts dangling;
+  dangling.addParse(FuzzyParse{{}, "B9B9"}, 2, false);
+  psm.absorbCounts(dangling);
+  return psm;
 }
 
-FuzzyPsm loadFromText(const std::string& text) {
-  std::istringstream in(text);
-  return FuzzyPsm::load(in);
-}
-
-/// Replaces the first line starting with `prefix` by `replacement`.
-std::string tamperLine(const std::string& text, const std::string& prefix,
-                       const std::string& replacement) {
-  std::istringstream in(text);
-  std::ostringstream out;
-  std::string line;
-  bool done = false;
-  while (std::getline(in, line)) {
-    if (!done && line.rfind(prefix, 0) == 0) {
-      out << replacement << '\n';
-      done = true;
-    } else {
-      out << line << '\n';
-    }
-  }
-  EXPECT_TRUE(done) << "no line with prefix: " << prefix;
-  return out.str();
+/// Lints the artifact compiled from `psm`, the form every trust point
+/// audits.
+LintReport lintCompiled(const FuzzyPsm& psm) {
+  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
+  return GrammarValidator().lint(artifact->grammar());
 }
 
 const LintDiagnostic* findCode(const LintReport& report, LintCode code) {
@@ -91,16 +84,11 @@ const LintDiagnostic* findCode(const LintReport& report, LintCode code) {
 
 TEST(GrammarLintTest, TrainedGrammarIsClean) {
   const FuzzyPsm psm = makeTrainedPsm();
-  const LintReport report = GrammarValidator().lint(psm);
+  const LintReport report = lintCompiled(psm);
   EXPECT_TRUE(report.clean()) << report.render();
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.worst(), LintSeverity::Info);
-}
-
-TEST(GrammarLintTest, TextRoundTripIsClean) {
-  const FuzzyPsm psm = loadFromText(saveToText(makeTrainedPsm()));
-  const LintReport report = GrammarValidator().lint(psm);
-  EXPECT_TRUE(report.clean()) << report.render();
+  EXPECT_TRUE(GrammarValidator().lint(psm.counts(), psm.config()).clean());
 }
 
 TEST(GrammarLintTest, CompiledArtifactIsClean) {
@@ -114,15 +102,14 @@ TEST(GrammarLintTest, ReverseGrammarIsClean) {
   FuzzyConfig config;
   config.matchReverse = true;
   const FuzzyPsm psm = makeTrainedPsm(config);
-  EXPECT_TRUE(GrammarValidator().lint(psm).clean());
-  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
-  EXPECT_TRUE(GrammarValidator().lint(artifact->grammar()).clean());
+  EXPECT_TRUE(GrammarValidator().lint(psm.counts(), psm.config()).clean());
+  EXPECT_TRUE(lintCompiled(psm).clean());
 }
 
 TEST(GrammarLintTest, UntrainedGrammarWarnsNotTrained) {
   FuzzyPsm psm;
   psm.addBaseWord("password");
-  const LintReport report = GrammarValidator().lint(psm);
+  const LintReport report = lintCompiled(psm);
   EXPECT_TRUE(report.has(LintCode::NotTrained));
   EXPECT_TRUE(report.ok());  // warning, not error
   EXPECT_EQ(report.worst(), LintSeverity::Warning);
@@ -279,17 +266,41 @@ TEST(GrammarLintTest, TrieTerminalCountDrift) {
   EXPECT_TRUE(report.has(LintCode::TrieStructure)) << report.render();
 }
 
-TEST(GrammarLintTest, CleanPointerTrieAndFlatTrieAgree) {
-  const FuzzyPsm psm = makeTrainedPsm();
-  LintReport pointer;
-  GrammarValidator().lintTrie("trie", psm.baseDictionary(), pointer);
-  EXPECT_TRUE(pointer.clean()) << pointer.render();
+TEST(GrammarLintTest, TrieDetachedCycle) {
+  // root --a--> 1 is the whole reachable trie; nodes 2 and 3 point at each
+  // other, so each has exactly one incoming edge, yet no walk from the root
+  // reaches them.
+  const std::uint32_t edgeBegin[] = {0, 1, 1, 2};
+  const std::uint32_t edgeMeta[] = {1, FlatTrieView::kTerminalBit, 1, 1};
+  const std::uint32_t edgeTargets[] = {1, 3, 2};
+  const char edgeLabels[] = {'a', 'b', 'c'};
+  const FlatTrieView trie(edgeBegin, edgeMeta, 4, edgeTargets, edgeLabels, 3,
+                          1);
+  LintReport report;
+  GrammarValidator().lintFlatTrie("trie", trie, report);
+  const auto* d = findCode(report, LintCode::TrieStructure);
+  ASSERT_NE(d, nullptr) << report.render();
+  EXPECT_EQ(d->locus, "trie.node[3]");
+}
 
+TEST(GrammarLintTest, CleanPointerTrieAndFlatTrieAgree) {
+  // The trie audit runs on the compiled trie only: FlatTrie::fromTrie keeps
+  // node ids, so it has the pointer trie's exact shape.
+  const FuzzyPsm psm = makeTrainedPsm();
+  const Trie& pointer = psm.baseDictionary();
   const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
-  LintReport flat;
-  GrammarValidator().lintFlatTrie("trie", artifact->grammar().baseDictionary(),
-                                  flat);
-  EXPECT_TRUE(flat.clean()) << flat.render();
+  const FlatTrieView& flat = artifact->grammar().baseDictionary();
+  ASSERT_EQ(flat.nodeCount(), pointer.nodeCount());
+  EXPECT_EQ(flat.size(), pointer.size());
+  for (Trie::NodeId node = 0; node < pointer.nodeCount(); ++node) {
+    EXPECT_EQ(flat.isTerminal(node), pointer.isTerminal(node)) << node;
+    pointer.forEachEdge(node, [&](char label, Trie::NodeId target) {
+      EXPECT_EQ(flat.child(node, label), std::optional(target)) << node;
+    });
+  }
+  LintReport report;
+  GrammarValidator().lintFlatTrie("trie", flat, report);
+  EXPECT_TRUE(report.clean()) << report.render();
 }
 
 // ---------------------------------------------------------------------------
@@ -324,50 +335,48 @@ TEST(GrammarLintTest, NanPriorInLiveGrammar) {
   FuzzyConfig config;
   config.transformationPrior = std::numeric_limits<double>::quiet_NaN();
   const FuzzyPsm psm = makeTrainedPsm(config);
-  const LintReport report = GrammarValidator().lint(psm);
+  const LintReport report = GrammarValidator().lint(psm.counts(), config);
   EXPECT_TRUE(report.has(LintCode::NonFiniteValue)) << report.render();
   EXPECT_FALSE(report.ok());
 }
 
 // ---------------------------------------------------------------------------
-// Seeded corruption: text tampering (survives FuzzyPsm::load).
+// Seeded corruption: tampered counts and tampered artifact bytes.
 // ---------------------------------------------------------------------------
 
-TEST(GrammarLintTest, TamperedCapCounterIsProbOutOfRange) {
-  const std::string text = saveToText(makeTrainedPsm());
-  const FuzzyPsm psm = loadFromText(tamperLine(text, "cap\t", "cap\t100\t2"));
-  const LintReport report = GrammarValidator().lint(psm);
-  const auto* d = findCode(report, LintCode::ProbOutOfRange);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->locus, "config.cap");
-  EXPECT_FALSE(report.ok());
-}
-
 TEST(GrammarLintTest, DanglingSegmentRefFromTamperedStructure) {
-  const std::string text = saveToText(makeTrainedPsm());
-  // "12345" trained a B5 structure; point it at the never-trained B9 B9.
-  const FuzzyPsm psm =
-      loadFromText(tamperLine(text, "B5\t", "B9B9\t2"));
-  const LintReport report = GrammarValidator().lint(psm);
-  const auto* d = findCode(report, LintCode::DanglingSegmentRef);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->severity, LintSeverity::Error);
-  EXPECT_EQ(d->locus, "structures[B9B9]");
+  const FuzzyPsm psm = makeDanglingPsm();
+  for (const LintReport& report :
+       {GrammarValidator().lint(psm.counts(), psm.config()),
+        lintCompiled(psm)}) {
+    const auto* d = findCode(report, LintCode::DanglingSegmentRef);
+    ASSERT_NE(d, nullptr) << report.render();
+    EXPECT_EQ(d->severity, LintSeverity::Error);
+    EXPECT_EQ(d->locus, "structures[B9B9]");
+  }
 }
 
 TEST(GrammarLintTest, BadStructureKeyFromTamperedStructure) {
-  const std::string text = saveToText(makeTrainedPsm());
-  const FuzzyPsm psm = loadFromText(tamperLine(text, "B5\t", "Bx5\t2"));
-  const LintReport report = GrammarValidator().lint(psm);
+  // The byte loader rejects a key that does not decode, so this defect is
+  // seeded into a counts bundle, as the sharded trainer's shard lint sees.
+  const FuzzyPsm psm = makeTrainedPsm();
+  GrammarCounts counts = psm.counts();
+  counts.addParse(FuzzyParse{{}, "Bx5"}, 2, false);
+  const LintReport report = GrammarValidator().lint(counts, psm.config());
   EXPECT_TRUE(report.has(LintCode::BadStructureKey)) << report.render();
   EXPECT_FALSE(report.ok());
 }
 
 TEST(GrammarLintTest, TamperedTrainedCountIsWarning) {
-  const std::string text = saveToText(makeTrainedPsm());
-  const FuzzyPsm psm = loadFromText(tamperLine(text, "trained\t",
-                                               "trained\t5000"));
-  const LintReport report = GrammarValidator().lint(psm);
+  test_tamper::Bytes b = compileArtifact(makeTrainedPsm());
+  const std::size_t cfgOff = static_cast<std::size_t>(
+      GrammarArtifact::fromBytes(b)->sections()[0].offset);
+  // trainedPasswords is the fixed 152-byte Config section's last u64.
+  test_tamper::writeU64(b, cfgOff + 144, 5000);
+  test_tamper::repairChecksums(b);
+  const auto artifact = GrammarArtifact::fromBytes(std::move(b));
+  ASSERT_EQ(artifact->grammar().trainedPasswords(), 5000u);
+  const LintReport report = GrammarValidator().lint(artifact->grammar());
   const auto* d = findCode(report, LintCode::CountInconsistency);
   ASSERT_NE(d, nullptr) << report.render();
   EXPECT_EQ(d->severity, LintSeverity::Warning);
@@ -384,12 +393,9 @@ TEST(GrammarLintTest, TamperedTrainedCountIsWarning) {
 
 class LintGateTest : public ::testing::Test {
  protected:
-  /// The "12345" B5 structure retargeted at the never-trained B9 B9. The
-  /// semantic defect survives compilation AND byte validation.
-  FuzzyPsm makeBadPsm() {
-    const std::string text = saveToText(makeTrainedPsm());
-    return loadFromText(tamperLine(text, "B5\t", "B9B9\t2"));
-  }
+  /// A dangling B9 B9 structure (makeDanglingPsm). The semantic defect
+  /// survives compilation AND byte validation.
+  FuzzyPsm makeBadPsm() { return makeDanglingPsm(); }
   std::shared_ptr<const GrammarArtifact> makeBadArtifact() {
     return GrammarArtifact::fromBytes(compileArtifact(makeBadPsm()));
   }
@@ -533,32 +539,46 @@ TEST(LintReportTest, StableCodeNames) {
 }
 
 // ---------------------------------------------------------------------------
-// lintGrammarFile: magic-sniffed dispatch over both on-disk formats.
+// lintGrammarFile: an .fpsmb artifact is the only grammar file.
 // ---------------------------------------------------------------------------
 
-TEST(LintGrammarFileTest, TextAndArtifactFilesBothClean) {
-  const FuzzyPsm psm = makeTrainedPsm();
-  const std::string textPath = testing::TempDir() + "lint_grammar.fpsm";
-  {
-    std::ofstream out(textPath);
-    psm.save(out);
-  }
-  EXPECT_TRUE(lintGrammarFile(textPath).clean());
-
-  const std::string binPath = testing::TempDir() + "lint_grammar.fpsmb";
-  writeArtifactFile(psm, binPath);
-  EXPECT_TRUE(lintGrammarFile(binPath).clean());
+/// Writes the artifact compiled from `psm` to a temp file; returns its path.
+std::string writeArtifactTo(const FuzzyPsm& psm, const char* name) {
+  const std::string path = testing::TempDir() + name;
+  const std::vector<std::byte> bytes = compileArtifact(psm);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(out.good()) << path;
+  return path;
 }
 
-TEST(LintGrammarFileTest, TamperedTextFileReportsDanglingRef) {
-  const std::string text =
-      tamperLine(saveToText(makeTrainedPsm()), "B5\t", "B9B9\t2");
-  const std::string path = testing::TempDir() + "lint_tampered.fpsm";
+TEST(LintGrammarFileTest, OnlyArtifactFilesLint) {
+  EXPECT_TRUE(
+      lintGrammarFile(writeArtifactTo(makeTrainedPsm(), "lint_grammar.fpsmb"))
+          .clean());
+
+  // A password list longer than the artifact header, so the loader gets as
+  // far as the magic.
+  const std::string textPath = testing::TempDir() + "lint_grammar.txt";
   {
-    std::ofstream out(path);
-    out << text;
+    std::ofstream out(textPath);
+    for (const char* pw : {"password1", "123456", "iloveyou", "dragon",
+                           "monkey", "sunshine", "qwerty"}) {
+      out << pw << '\n';
+    }
   }
-  const LintReport report = lintGrammarFile(path);
+  try {
+    (void)lintGrammarFile(textPath);
+    FAIL() << "a file that is not an artifact linted";
+  } catch (const ArtifactError& e) {
+    EXPECT_EQ(e.code(), ArtifactErrorCode::BadMagic) << e.what();
+  }
+}
+
+TEST(LintGrammarFileTest, TamperedArtifactFileReportsDanglingRef) {
+  const LintReport report = lintGrammarFile(
+      writeArtifactTo(makeDanglingPsm(), "lint_tampered.fpsmb"));
   EXPECT_TRUE(report.has(LintCode::DanglingSegmentRef)) << report.render();
 }
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_parse.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
@@ -379,34 +379,31 @@ TEST(FuzzyPsm, DifferentialDerivationEqualsLog2Prob) {
   }
 }
 
-// ------------------------------------------------------------- serialization
+// --------------------------------------------------------- artifact round trip
 
 TEST(FuzzyPsm, SaveLoadRoundTrip) {
   auto psm = paperishGrammar(FuzzyConfig{});
   psm.update("password1", 6);
   psm.update("P@ssw0rd!", 2);
   psm.update("123qwe123qwe", 3);
-  std::stringstream ss;
-  psm.save(ss);
-  FuzzyPsm back = FuzzyPsm::load(ss);
+  const FuzzyPsm back = FuzzyPsm::fromArtifact(
+      *GrammarArtifact::fromBytes(compileArtifact(psm)));
   EXPECT_EQ(back.trainedPasswords(), psm.trainedPasswords());
   EXPECT_EQ(back.baseDictionary().size(), psm.baseDictionary().size());
+  // EXPECT_EQ, not NEAR: the artifact carries the identical integer counts
+  // (covers -infinity too).
   for (const char* probe :
        {"password1", "P@ssw0rd!", "123qwe123qwe", "Password1",
         "p@ssword1", "zzz"}) {
-    const double a = psm.log2Prob(probe);
-    const double b = back.log2Prob(probe);
-    if (std::isinf(a)) {
-      EXPECT_TRUE(std::isinf(b)) << probe;
-    } else {
-      EXPECT_NEAR(a, b, 1e-12) << probe;
-    }
+    EXPECT_EQ(back.log2Prob(probe), psm.log2Prob(probe)) << probe;
   }
 }
 
 TEST(FuzzyPsm, LoadRejectsGarbage) {
-  std::stringstream ss("not-a-grammar\n");
-  EXPECT_THROW(FuzzyPsm::load(ss), IoError);
+  // A grammar loads only through the artifact reader, which refuses bytes
+  // that are not an artifact with a typed IoError.
+  std::vector<std::byte> garbage(64, std::byte{'x'});
+  EXPECT_THROW(GrammarArtifact::fromBytes(std::move(garbage)), IoError);
 }
 
 // --------------------------------------------------------- config behaviour

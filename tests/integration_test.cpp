@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "core/suggest.h"
 #include "corpus/dataset.h"
@@ -128,10 +129,9 @@ TEST(Pipeline, GenerateTrainSerializeMeasureSuggestCrack) {
   psm.loadBaseDictionary(base);
   psm.train(training);
 
-  // Serialize through a stream and keep working with the clone.
-  std::stringstream ss;
-  psm.save(ss);
-  const FuzzyPsm clone = FuzzyPsm::load(ss);
+  // Compile to an artifact, read it back, and keep working with the clone.
+  const FuzzyPsm clone = FuzzyPsm::fromArtifact(
+      *GrammarArtifact::fromBytes(compileArtifact(psm)));
 
   // Measure: the training head must be weak, a random string strong.
   const auto head = training.sortedByFrequency().front().password;

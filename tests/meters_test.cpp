@@ -49,6 +49,18 @@ TEST(SegmentTable, SortedDescAndCacheInvalidation) {
   EXPECT_EQ(sorted[0].form, "low");
 }
 
+TEST(SegmentTable, OverflowingAddThrowsInsteadOfWrapping) {
+  SegmentTable t;
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  t.add("x", half);
+  EXPECT_THROW(t.add("x", half), InvalidArgument);
+  EXPECT_THROW(t.add("y", half), InvalidArgument);
+  // The rejected adds left the table as it was.
+  EXPECT_EQ(t.count("x"), half);
+  EXPECT_EQ(t.total(), half);
+  EXPECT_EQ(t.distinct(), 1u);
+}
+
 TEST(SegmentTable, SampleMatchesDistribution) {
   SegmentTable t;
   t.add("a", 8);

@@ -607,6 +607,46 @@ TEST(OnlineUpdater, AcceptValidatesAndCoalesces) {
   EXPECT_EQ(updater->pendingUpdates(), kBound);
 }
 
+// Counts are checked, not wrapped: a compaction whose merge would overflow
+// a 64-bit count is rolled back before it reaches the log.
+TEST(OnlineUpdater, OverflowingCompactionRollsBack) {
+  const std::string dir = scratchDir("overflow");
+  // "qwerty" is one segment with one site per leet rule, so every total
+  // it touches — the structure total first — sits 2^31 below 2^64. The
+  // grammar lints clean.
+  FuzzyPsm seed;
+  seed.update("12345", 2);
+  seed.update("qwerty", ~std::uint64_t{0} - (std::uint64_t{1} << 31) + 1);
+  auto updater = OnlineUpdater::bootstrap(seed, dir);
+  const double before = updater->service().score("12345").bits;
+
+  // One admitted call takes those totals past 2^64. Unchecked, the merge
+  // wrapped the structure total to about 2^31, passed every gate and
+  // published a grammar that scored "12345" about 33 bits weaker.
+  updater->accept("qwerty", OnlineUpdater::kMaxAcceptCount);
+  const auto result = updater->compactNow();
+  EXPECT_FALSE(result.published);
+  EXPECT_NE(result.rejection.find("overflows 64 bits"), std::string::npos)
+      << result.rejection;
+  EXPECT_EQ(result.sequence, 0u);
+  EXPECT_EQ(updater->log().entries().size(), 1u) << "nothing appended";
+  const auto stats = updater->stats();
+  EXPECT_EQ(stats.rollbacks, 1u);
+  EXPECT_EQ(stats.quarantined, OnlineUpdater::kMaxAcceptCount);
+  EXPECT_EQ(stats.lastSequence, 1u);
+  EXPECT_EQ(updater->service().score("12345").bits, before);
+
+  // The cumulative counts were untouched: the next compaction writes
+  // exactly the grammar a batch fold of the same update would.
+  updater->accept("12345");
+  const auto next = updater->compactNow();
+  ASSERT_TRUE(next.published) << next.rejection;
+  FuzzyPsm expected = seed;
+  expected.update("12345");
+  EXPECT_EQ(readFileBytes(updater->log().pathFor(next.sequence)),
+            compileArtifact(expected));
+}
+
 TEST(OnlineUpdater, GateRunsOncePerServedGeneration) {
   const std::string dir = scratchDir("gatecount");
   FuzzyPsm seed = fixtureBase();

@@ -1,7 +1,9 @@
-// Failure-injection tests for the serialization formats: every truncation
-// and every single-line corruption of a valid grammar/model file must
-// raise IoError (or load an equivalent model) — never crash, hang, or
-// silently mis-load.
+// Failure-injection tests for the baseline meters' text formats (PCFG,
+// Markov): every truncation and every single-line corruption of a valid
+// model file must raise IoError (or load an equivalent model) — never
+// crash, hang, or silently mis-load. The fuzzy grammar is stored only as an
+// .fpsmb artifact, whose corruption battery lives in tests/artifact_test.cpp;
+// here it gets the randomized round-trip property sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
 #include "meters/markov/markov.h"
@@ -50,44 +53,6 @@ void expectGracefulLoad(const std::string& payload, Loader&& loader) {
     // std::stoi family on a mangled numeric field — acceptable rejection
   } catch (const std::out_of_range&) {
     // ditto for overflowing numeric fields
-  }
-}
-
-// ----------------------------------------------------------------- fuzzy
-
-TEST(SerializationFuzz, FuzzyGrammarTruncations) {
-  FuzzyPsm psm;
-  psm.addBaseWord("password");
-  psm.train(smallCorpus());
-  std::stringstream full;
-  psm.save(full);
-  const auto lines = splitLines(full.str());
-  ASSERT_GT(lines.size(), 10u);
-
-  for (std::size_t keep = 0; keep < lines.size(); ++keep) {
-    std::string payload;
-    for (std::size_t i = 0; i < keep; ++i) payload += lines[i] + "\n";
-    expectGracefulLoad(payload,
-                       [](std::istream& in) { FuzzyPsm::load(in); });
-  }
-}
-
-TEST(SerializationFuzz, FuzzyGrammarLineCorruption) {
-  FuzzyPsm psm;
-  psm.addBaseWord("password");
-  psm.train(smallCorpus());
-  std::stringstream full;
-  psm.save(full);
-  const auto lines = splitLines(full.str());
-
-  for (std::size_t corrupt = 0; corrupt < lines.size(); ++corrupt) {
-    std::string payload;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      payload += (i == corrupt ? "###garbage###" : lines[i]);
-      payload += "\n";
-    }
-    expectGracefulLoad(payload,
-                       [](std::istream& in) { FuzzyPsm::load(in); });
   }
 }
 
@@ -195,28 +160,23 @@ FuzzyPsm randomTrainedGrammar(Rng& rng) {
   return psm;
 }
 
-std::string saved(const FuzzyPsm& psm) {
-  std::stringstream ss;
-  psm.save(ss);
-  return ss.str();
+FuzzyPsm reloaded(const std::vector<std::byte>& artifact) {
+  return FuzzyPsm::fromArtifact(*GrammarArtifact::fromBytes(artifact));
 }
 
 TEST(SerializationRoundTrip, SaveLoadSaveIsByteIdentical) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
     const FuzzyPsm psm = randomTrainedGrammar(rng);
-    const std::string first = saved(psm);
-    std::stringstream in(first);
-    const FuzzyPsm back = FuzzyPsm::load(in);
-    EXPECT_EQ(saved(back), first) << "seed " << seed;
+    const std::vector<std::byte> first = compileArtifact(psm);
+    EXPECT_EQ(compileArtifact(reloaded(first)), first) << "seed " << seed;
   }
 }
 
 TEST(SerializationRoundTrip, ScoresAgreeOnRandomPasswords) {
   Rng rng(99);
   const FuzzyPsm psm = randomTrainedGrammar(rng);
-  std::stringstream ss(saved(psm));
-  const FuzzyPsm back = FuzzyPsm::load(ss);
+  const FuzzyPsm back = reloaded(compileArtifact(psm));
 
   // 1k probes drawn from the same generator family as training (plus raw
   // random strings), so both in-grammar and zero-probability paths hit.
@@ -228,24 +188,11 @@ TEST(SerializationRoundTrip, ScoresAgreeOnRandomPasswords) {
     for (std::size_t c = 0; c < len; ++c) {
       pw.push_back(alphabet[rng.below(alphabet.size())]);
     }
-    // EXPECT_EQ, not NEAR: load reconstructs the identical integer counts,
-    // so the float computation must be bit-for-bit the same (covers the
-    // -infinity case too).
+    // EXPECT_EQ, not NEAR: fromArtifact reconstructs the identical integer
+    // counts, so the float computation must be bit-for-bit the same (covers
+    // the -infinity case too).
     EXPECT_EQ(back.log2Prob(pw), psm.log2Prob(pw)) << pw;
   }
-}
-
-// ------------------------------------------------------- round-trip sanity
-
-TEST(SerializationFuzz, UncorruptedFilesStillLoad) {
-  // Guard against the fuzz helpers masking a broken happy path.
-  FuzzyPsm psm;
-  psm.addBaseWord("password");
-  psm.train(smallCorpus());
-  std::stringstream ss;
-  psm.save(ss);
-  const FuzzyPsm back = FuzzyPsm::load(ss);
-  EXPECT_NEAR(back.log2Prob("password1"), psm.log2Prob("password1"), 1e-12);
 }
 
 }  // namespace

@@ -200,6 +200,18 @@ TEST(UpdateQueueTest, CoalescesCountsPerPassword) {
   EXPECT_TRUE(q.drain().empty());
 }
 
+TEST(UpdateQueueTest, OverflowingPushThrowsInsteadOfWrapping) {
+  UpdateQueue q;
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  q.push("pw", half);
+  // Coalesced, 2^63 + 2^63 would wrap to 0.
+  EXPECT_THROW(q.push("pw", half), InvalidArgument);
+  EXPECT_EQ(q.pendingTotal(), half);
+  const auto batch = q.drain();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].second, half);
+}
+
 TEST(UpdateQueueTest, ConcurrentPushesLoseNothing) {
   UpdateQueue q;
   constexpr int kThreads = 4;

@@ -1,7 +1,7 @@
 // Sharded-trainer battery (ctest label `train`; DESIGN.md §10).
 //
 // The pipeline's one non-negotiable claim is *determinism*: the grammar a
-// ShardedTrainer produces — counts, text save, .fpsmb artifact — must be a
+// ShardedTrainer produces — counts and .fpsmb artifact — must be a
 // pure function of (base dictionary, config, entry multiset), independent
 // of thread count, chunk size, and entry order, and identical to what
 // sequential FuzzyPsm::train computes. These tests pin every face of that
@@ -78,18 +78,10 @@ Dataset toDataset(const std::vector<Dataset::Entry>& entries) {
 }
 
 /// .fpsmb bytes compiled straight from a counts bundle.
-std::string artifactBytes(const FuzzyPsm& base, const GrammarCounts& counts) {
-  std::ostringstream out;
-  writeArtifact(out, base.config(), base.baseWords(), base.baseDictionary(),
-                base.reversedDictionary(), counts);
-  return out.str();
-}
-
-std::string textBytes(FuzzyPsm psm, const GrammarCounts& counts) {
-  psm.absorbCounts(counts);
-  std::ostringstream out;
-  psm.save(out);
-  return out.str();
+std::vector<std::byte> artifactBytes(const FuzzyPsm& base,
+                                     const GrammarCounts& counts) {
+  return writeArtifact(base.config(), base.baseWords(), base.baseDictionary(),
+                       base.reversedDictionary(), counts);
 }
 
 GrammarCounts countAt(const FuzzyPsm& base,
@@ -105,9 +97,9 @@ GrammarCounts countAt(const FuzzyPsm& base,
 TEST(ShardedTrainer, ArtifactByteIdenticalAcrossThreadCounts) {
   const FuzzyPsm base = makeBase();
   const auto entries = corpus(3000);
-  const std::string at1 = artifactBytes(base, countAt(base, entries, 1));
-  const std::string at2 = artifactBytes(base, countAt(base, entries, 2));
-  const std::string at8 = artifactBytes(base, countAt(base, entries, 8));
+  const auto at1 = artifactBytes(base, countAt(base, entries, 1));
+  const auto at2 = artifactBytes(base, countAt(base, entries, 2));
+  const auto at8 = artifactBytes(base, countAt(base, entries, 8));
   ASSERT_FALSE(at1.empty());
   EXPECT_EQ(at1, at2);
   EXPECT_EQ(at1, at8);
@@ -119,14 +111,9 @@ TEST(ShardedTrainer, MatchesSequentialTrainByteForByte) {
 
   FuzzyPsm sequential = base;
   sequential.train(toDataset(entries));
-  std::ostringstream seqArtifact;
-  sequential.saveBinary(seqArtifact);
-  std::ostringstream seqText;
-  sequential.save(seqText);
 
   const GrammarCounts counts = countAt(base, entries, 8);
-  EXPECT_EQ(seqArtifact.str(), artifactBytes(base, counts));
-  EXPECT_EQ(seqText.str(), textBytes(base, counts));
+  EXPECT_EQ(compileArtifact(sequential), artifactBytes(base, counts));
 }
 
 TEST(ShardedTrainer, ScoresBitForBitEqualToSequential) {
@@ -202,12 +189,29 @@ TEST(GrammarCounts, MergeEmptyIsIdentity) {
   EXPECT_FALSE(fromEmpty.empty());
 }
 
+TEST(GrammarCounts, OverflowingCountsThrowInsteadOfWrapping) {
+  const FuzzyPsm base = makeBase();
+  // One segment with one site per leet rule: every counter gets n once.
+  const FuzzyParse parse = base.parse("dragon");
+  ASSERT_EQ(parse.segments.size(), 1u);
+  const std::uint64_t half = std::uint64_t{1} << 63;
+
+  GrammarCounts once;
+  once.addParse(parse, half, true);
+  EXPECT_EQ(once.trainedPasswords(), half);
+  GrammarCounts twice = once;
+  EXPECT_THROW(twice.addParse(parse, half, true), InvalidArgument);
+
+  GrammarCounts merged = once;
+  EXPECT_THROW(merged.merge(once), InvalidArgument);
+}
+
 // Property test: split the corpus into random contiguous shards, count each
 // sequentially, merge in random order — always the same artifact bytes.
 TEST(GrammarCounts, RandomPartitionsMergeToSameBytes) {
   const FuzzyPsm base = makeBase();
   const auto entries = corpus(800);
-  const std::string expected = artifactBytes(base, countAt(base, entries, 1));
+  const auto expected = artifactBytes(base, countAt(base, entries, 1));
 
   Rng rng(4242);
   for (int round = 0; round < 8; ++round) {
@@ -312,10 +316,9 @@ TEST(TrainOptions, FpsmThreadsEnvIsHonored) {
   // count came from.
   const FuzzyPsm base = makeBase();
   const auto entries = corpus(600);
-  const std::string explicitThreads =
-      artifactBytes(base, countAt(base, entries, 5));
+  const auto explicitThreads = artifactBytes(base, countAt(base, entries, 5));
   ASSERT_EQ(setenv("FPSM_THREADS", "5", 1), 0);
-  const std::string envThreads = artifactBytes(base, countAt(base, entries, 0));
+  const auto envThreads = artifactBytes(base, countAt(base, entries, 0));
   ASSERT_EQ(unsetenv("FPSM_THREADS"), 0);
   EXPECT_EQ(explicitThreads, envThreads);
 }

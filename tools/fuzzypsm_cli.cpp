@@ -1,20 +1,25 @@
 // fuzzypsm — command-line front end to the library.
 //
-//   fuzzypsm train --base BASE.txt --training TRAIN.txt -o GRAMMAR
+// A grammar file is always a compiled .fpsmb artifact (src/artifact/
+// format.h): `train` writes one, and every command that reads one opens it
+// through GrammarArtifact, so a file that is not an artifact fails with
+// [bad-magic].
+//
+//   fuzzypsm train --base BASE.txt --training TRAIN.txt --out GRAMMAR.fpsmb
 //            [--threads N] [--reverse] [--prior P] [--min-base-len N]
 //       Train a fuzzy PCFG from two password files (lines: "pw" or
-//       "pw<TAB>count") and serialize it. Training streams the corpus in
-//       chunks and parses them sharded across N threads
-//       (src/train/sharded_trainer.h); the output is byte-identical for
-//       any thread count. An output path ending in .fpsmb compiles the
-//       flat binary artifact directly from the merged counts; anything
-//       else gets the text format.
+//       "pw<TAB>count") and write it as an .fpsmb artifact. Training
+//       streams the corpus in chunks and parses them sharded across N
+//       threads (src/train/sharded_trainer.h); the artifact is compiled
+//       straight from the merged counts and is byte-identical for any
+//       thread count. The output is reopened through the validating loader
+//       before the command reports success.
 //
-//   fuzzypsm measure --grammar GRAMMAR [PW...]
+//   fuzzypsm measure --grammar GRAMMAR [--seed S] [--samples N] [PW...]
 //       Score passwords (args, or stdin lines when none given): bits,
 //       bucket, Monte Carlo guess number.
 //
-//   fuzzypsm suggest --grammar GRAMMAR --target BITS PW...
+//   fuzzypsm suggest --grammar GRAMMAR --target BITS [--seed S] PW...
 //       Propose stronger variants within 2 edits (H&A-style).
 //
 //   fuzzypsm explain --grammar GRAMMAR PW...
@@ -47,25 +52,19 @@
 //       process-wide metrics snapshot (src/obs, DESIGN.md §14) after the
 //       run — readable later with `fuzzypsm stats --file FILE`.
 //
-//   fuzzypsm stats (--file DUMP.json | --grammar GRAMMAR [PW...]) [--json]
+//   fuzzypsm stats (--file DUMP.json | --grammar GRAMMAR [--seed S] [PW...])
+//            [--json]
 //       Render a metrics snapshot. With --file, re-render a dump written
 //       by --metrics-dump (the line-oriented JSON format of DESIGN.md §14)
 //       as a human-readable table, or echo it verbatim with --json. With
-//       --grammar, lint the grammar (an Error-severity finding fails the
+//       --grammar, lint the artifact (an Error-severity finding fails the
 //       command, as it would fail OnlineUpdater's gate), then run a small
 //       worked example — score the given passwords (or a few sampled from
-//       the grammar) twice through a TenantMeter plus one scoreBatch
-//       call — and print the live snapshot, showing cache hits/misses and
-//       latency histograms end to end. Under a FPSM_METRICS=OFF build
-//       every metric renders as zero; the shape of both outputs is
-//       identical.
-//
-//   fuzzypsm compile --grammar GRAMMAR --out FILE.fpsmb
-//   fuzzypsm compile --base BASE.txt --training TRAIN.txt --out FILE.fpsmb
-//            [--reverse] [--prior P] [--min-base-len N]
-//       Compile a grammar (an existing text/binary file, or trained fresh
-//       from two password files) into the flat binary .fpsmb artifact that
-//       loads zero-copy via mmap (src/artifact/format.h).
+//       the grammar) twice through a TenantMeter serving the artifact plus
+//       one scoreBatch call — and print the live snapshot, showing cache
+//       hits/misses and latency histograms end to end. Under a
+//       FPSM_METRICS=OFF build every metric renders as zero; the shape of
+//       both outputs is identical.
 //
 //   fuzzypsm inspect --artifact FILE.fpsmb
 //       Validate an artifact and print its header, section table, and a
@@ -73,29 +72,27 @@
 //
 //   fuzzypsm lint-grammar --grammar GRAMMAR [--json] [--tolerance T]
 //            [--no-spot-checks] [--stride N]
-//       Audit a grammar's semantics (analysis/grammar_lint.h): probability
-//       mass conservation, dangling B_n references, transformation
-//       probabilities in [0,1], trie invariants. Works on both the text
-//       format and a compiled .fpsmb (audited zero-copy). Exit code is the
-//       worst severity found: 0 clean/info, 1 warnings, 2 errors.
+//       Audit an artifact's semantics zero-copy (analysis/grammar_lint.h):
+//       probability mass conservation, dangling B_n references,
+//       transformation probabilities in [0,1], trie invariants. Exit code
+//       is the worst severity found: 0 clean/info, 1 warnings, 2 errors.
 //
-//   fuzzypsm update-loop --log DIR --stream FILE
-//            (--grammar GRAMMAR | --base BASE.txt --training TRAIN.txt)
+//   fuzzypsm update-loop --log DIR --stream FILE [--grammar GRAMMAR]
 //            [--compact-every N] [--threads N] [--metrics-dump FILE]
 //       Drive the streaming adaptive loop (src/online): bootstrap a
-//       generation log at DIR from the given grammar (or resume if DIR
-//       already has generations — then the grammar/corpus options are
-//       ignored), accept every password of the update stream, and compact
-//       a new .fpsmb generation every N accepted occurrences (default
-//       10000) plus once at end-of-stream. Each generation is appended to
-//       the log, lint-gated, and published without blocking scorers;
-//       rejected generations roll back and are reported. A grammar the
-//       lint rejects cannot bootstrap, and resume skips a rejected
-//       generation and serves the one before it. Prints the final
-//       published sequence. The run is deterministic: the same inputs and
-//       cadence produce byte-identical generations at any --threads.
-//       --metrics-dump FILE writes the metrics snapshot after the run
-//       (online.compact.* stage latencies, gate rejections, queue depth).
+//       generation log at DIR from GRAMMAR (or resume if DIR already has
+//       generations — then --grammar is ignored), accept every password of
+//       the update stream, and compact a new .fpsmb generation every N
+//       accepted occurrences (default 10000) plus once at end-of-stream.
+//       Each generation is appended to the log, lint-gated, and published
+//       without blocking scorers; rejected generations roll back and are
+//       reported. A grammar the lint rejects cannot bootstrap, and resume
+//       skips a rejected generation and serves the one before it. Prints
+//       the final published sequence. The run is deterministic: the same
+//       inputs and cadence produce byte-identical generations at any
+//       --threads. --metrics-dump FILE writes the metrics snapshot after
+//       the run (online.compact.* stage latencies, gate rejections, queue
+//       depth).
 //
 //   fuzzypsm log inspect --dir DIR [--verify] [--json]
 //       Print a generation log's manifest — sequence, file, size, checksum
@@ -115,20 +112,19 @@
 //       recovers from (src/online/generation_log.h).
 //
 //   fuzzypsm tenants <list|add|evict|stats> --root DIR [--tenant ID]
-//            (--artifact FILE.fpsmb | --grammar GRAMMAR) [--budget BYTES]
-//            [--json]
+//            [--grammar GRAMMAR] [--budget BYTES] [--json]
 //       Operate a multi-tenant registry rooted at DIR (one subdirectory =
 //       one tenant's generation log, src/registry). `add` registers a new
-//       tenant from a compiled artifact or any grammar file, then
-//       cold-loads it through the registry to prove it serves. `evict`
-//       loads then evicts one tenant, flushing pending updates to its log
-//       (exit 1 if the tenant was pinned or compacting). `list` and
-//       `stats` render the per-tenant table and aggregate counters.
+//       tenant whose generation 1 is the bytes of GRAMMAR, then cold-loads
+//       it through the registry to prove it serves. `evict` loads then
+//       evicts one tenant, flushing pending updates to its log (exit 1 if
+//       the tenant was pinned or compacting). `list` and `stats` render the
+//       per-tenant table and aggregate counters.
 //
-// Every command taking --grammar accepts both the text format and a
-// compiled .fpsmb artifact; the file type is sniffed from the leading
-// magic bytes. Every parallel command honors --threads, falling back to
-// the FPSM_THREADS environment variable and then to an automatic choice
+// Each command accepts exactly the options listed for it above: any other
+// --name is an error, reported before the command runs. The parallel
+// commands (train, serve-bench, update-loop) honor --threads, falling back
+// to the FPSM_THREADS environment variable and then to an automatic choice
 // (util/parallel.h). -o is shorthand for --out.
 #include <algorithm>
 #include <atomic>
@@ -173,7 +169,6 @@ using namespace fpsm;
 namespace {
 
 struct Args {
-  std::string command;
   std::vector<std::string> positional;
   StringMap<std::string> options;
   StringSet flags;
@@ -193,22 +188,40 @@ struct Args {
   }
 };
 
-Args parseArgs(int argc, char** argv) {
+/// One command: its handler and the names it reads, as options (which take
+/// the next argument as their value) and flags (which take none).
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> options;
+  std::vector<std::string_view> flags;
+};
+
+/// Parses argv[2..] for `command`. A --name the command does not read is
+/// an error, so a misspelled or removed option never passes silently.
+Args parseArgs(const Command& command, int argc, char** argv) {
+  const auto reads = [](const std::vector<std::string_view>& names,
+                        std::string_view name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
   Args args;
-  if (argc < 2) throw InvalidArgument("no command given");
-  args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string_view a = argv[i];
     if (a == "-o") a = "--out";  // shorthand
-    if (a.rfind("--", 0) == 0) {
-      const std::string name(a.substr(2));
-      if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-        args.options.emplace(name, argv[++i]);
-      } else {
-        args.flags.insert(name);
-      }
-    } else {
+    if (a.rfind("--", 0) != 0) {
       args.positional.emplace_back(a);
+      continue;
+    }
+    const std::string name(a.substr(2));
+    if (reads(command.flags, name)) {
+      args.flags.insert(name);
+    } else if (!reads(command.options, name)) {
+      throw InvalidArgument("unknown option --" + name + " for " +
+                            std::string(command.name));
+    } else if (i + 1 == argc) {
+      throw InvalidArgument("option --" + name + " needs a value");
+    } else {
+      args.options.emplace(name, argv[++i]);
     }
   }
   return args;
@@ -223,25 +236,17 @@ Dataset loadFile(const std::string& path, const char* what) {
   return ds;
 }
 
-bool isArtifactFile(const std::string& path) {
+FuzzyPsm loadGrammar(const Args& args) {
+  return FuzzyPsm::fromArtifact(
+      *GrammarArtifact::open(args.requiredOption("grammar")));
+}
+
+/// The bytes of a grammar file, for GrammarRegistry::addTenant, which
+/// validates them as an artifact before anything touches disk.
+std::vector<char> readGrammarBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open grammar: " + path);
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) && magic == kArtifactMagic;
-}
-
-FuzzyPsm loadGrammarFile(const std::string& path) {
-  if (isArtifactFile(path)) {
-    return FuzzyPsm::fromArtifact(*GrammarArtifact::open(path));
-  }
-  std::ifstream in(path);
-  if (!in) throw IoError("cannot open grammar: " + path);
-  return FuzzyPsm::load(in);
-}
-
-FuzzyPsm loadGrammar(const Args& args) {
-  return loadGrammarFile(args.requiredOption("grammar"));
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 /// The global threading knob: --threads when given (>= 1), else the
@@ -255,11 +260,6 @@ unsigned threadsOption(const Args& args, unsigned fallback = 0) {
   }
   if (const unsigned env = envThreadRequest(); env != 0) return env;
   return fallback;
-}
-
-bool hasSuffix(const std::string& s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 FuzzyConfig configFromArgs(const Args& args) {
@@ -300,36 +300,28 @@ int cmdTrain(const Args& args) {
   const GrammarCounts counts = trainCounts(
       psm, args.requiredOption("training"), threadsOption(args));
 
-  const std::string out = args.requiredOption("out");
-  if (hasSuffix(out, ".fpsmb")) {
-    // Compile the artifact straight from the merged counts — no text
-    // round trip, no second FuzzyPsm.
-    {
-      std::ofstream os(out, std::ios::binary | std::ios::trunc);
-      if (!os) throw IoError("cannot write artifact: " + out);
-      writeArtifact(os, psm.config(), psm.baseWords(), psm.baseDictionary(),
+  // Compile the artifact straight from the merged counts — no second
+  // FuzzyPsm.
+  const std::vector<std::byte> bytes =
+      writeArtifact(psm.config(), psm.baseWords(), psm.baseDictionary(),
                     psm.reversedDictionary(), counts);
-      os.flush();
-      if (!os) throw IoError("write to " + out + " failed");
-    }
-    // Re-open through the validating loader, like `compile` does.
-    const auto artifact = GrammarArtifact::open(out);
-    std::fprintf(stderr,
-                 "artifact written to %s (%s bytes, %s base words, "
-                 "%s structures)\n",
-                 out.c_str(), fmtCount(artifact->sizeBytes()).c_str(),
-                 fmtCount(artifact->grammar().baseWordCount()).c_str(),
-                 fmtCount(artifact->grammar().structures().distinct()).c_str());
-    return 0;
+  const std::string out = args.requiredOption("out");
+  std::FILE* file = std::fopen(out.c_str(), "wb");
+  if (file == nullptr) throw IoError("cannot write artifact: " + out);
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+  if (std::fclose(file) != 0 || !written) {
+    throw IoError("write to " + out + " failed");
   }
-  psm.absorbCounts(counts);
-  std::ofstream os(out);
-  if (!os) throw IoError("cannot write grammar: " + out);
-  psm.save(os);
+  // Re-open through the validating loader: a train that produces an
+  // unreadable artifact must fail here, not at serving time.
+  const auto artifact = GrammarArtifact::open(out);
   std::fprintf(stderr,
-               "grammar written to %s (%s base words, %s structures)\n",
-               out.c_str(), fmtCount(psm.baseDictionary().size()).c_str(),
-               fmtCount(psm.structures().distinct()).c_str());
+               "artifact written to %s (%s bytes, %s base words, "
+               "%s structures)\n",
+               out.c_str(), fmtCount(artifact->sizeBytes()).c_str(),
+               fmtCount(artifact->grammar().baseWordCount()).c_str(),
+               fmtCount(artifact->grammar().structures().distinct()).c_str());
   return 0;
 }
 
@@ -693,35 +685,11 @@ int cmdServeBench(const Args& args) {
   {
     GrammarRegistryConfig cfg;
     cfg.rootDir = scratch.path();
-    GrammarRegistry(cfg).addTenant("grammar", loadGrammar(args));
+    const std::vector<char> bytes =
+        readGrammarBytes(args.requiredOption("grammar"));
+    GrammarRegistry(cfg).addTenant("grammar", bytes.data(), bytes.size());
   }
   return runServeBench(args, scratch.path());
-}
-
-int cmdCompile(const Args& args) {
-  const std::string out = args.requiredOption("out");
-  FuzzyPsm psm = [&] {
-    if (const auto g = args.option("grammar"); !g.empty()) {
-      return loadGrammarFile(g);
-    }
-    // Fresh training, same knobs (and sharded path) as `train`.
-    FuzzyPsm fresh(configFromArgs(args));
-    fresh.loadBaseDictionary(loadFile(args.requiredOption("base"), "base"));
-    fresh.absorbCounts(trainCounts(fresh, args.requiredOption("training"),
-                                   threadsOption(args)));
-    return fresh;
-  }();
-  writeArtifactFile(psm, out);
-  // Re-open through the validating loader: a compile that produces an
-  // unreadable artifact must fail here, not at serving time.
-  const auto artifact = GrammarArtifact::open(out);
-  std::fprintf(stderr,
-               "artifact written to %s (%s bytes, %s base words, "
-               "%s structures)\n",
-               out.c_str(), fmtCount(artifact->sizeBytes()).c_str(),
-               fmtCount(artifact->grammar().baseWordCount()).c_str(),
-               fmtCount(artifact->grammar().structures().distinct()).c_str());
-  return 0;
 }
 
 int cmdInspect(const Args& args) {
@@ -876,17 +844,17 @@ int cmdStats(const Args& args) {
   // with a handful of passwords — two single-score passes so the second
   // one hits the cache, plus one scoreBatch call — then print the
   // process-wide snapshot those calls populated.
-  const FuzzyPsm psm = loadGrammar(args);
-  std::vector<std::string> pws = args.positional;
-  if (pws.empty()) {
-    Rng rng(std::stoull(args.option("seed", "7")));
-    for (int i = 0; i < 8; ++i) pws.push_back(psm.sample(rng));
-  }
-  auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
+  auto artifact = GrammarArtifact::open(args.requiredOption("grammar"));
   // TenantMeter serves what it is handed; a grammar read from disk is
   // audited here, the way OnlineUpdater gates every generation it serves.
   LintReport lint = GrammarValidator().lint(artifact->grammar());
   if (!lint.ok()) throw GrammarLintError(std::move(lint));
+  std::vector<std::string> pws = args.positional;
+  if (pws.empty()) {
+    const FuzzyPsm psm = FuzzyPsm::fromArtifact(*artifact);
+    Rng rng(std::stoull(args.option("seed", "7")));
+    for (int i = 0; i < 8; ++i) pws.push_back(psm.sample(rng));
+  }
   const TenantMeter service(std::move(artifact));
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto& pw : pws) (void)service.score(pw);
@@ -919,17 +887,8 @@ int cmdUpdateLoop(const Args& args) {
 
   std::unique_ptr<OnlineUpdater> updater;
   if (fresh) {
-    FuzzyPsm seed = [&] {
-      if (const auto g = args.option("grammar"); !g.empty()) {
-        return loadGrammarFile(g);
-      }
-      FuzzyPsm psm(configFromArgs(args));
-      psm.loadBaseDictionary(loadFile(args.requiredOption("base"), "base"));
-      psm.absorbCounts(trainCounts(psm, args.requiredOption("training"),
-                                   config.compactionThreads));
-      return psm;
-    }();
-    updater = OnlineUpdater::bootstrap(seed, dir, std::move(config));
+    updater = OnlineUpdater::bootstrap(loadGrammar(args), dir,
+                                       std::move(config));
     std::fprintf(stderr, "bootstrapped %s at sequence %llu\n", dir.c_str(),
                  static_cast<unsigned long long>(updater->stats().lastSequence));
   } else {
@@ -1171,8 +1130,7 @@ int cmdTenants(const Args& args) {
   if (sub != "list" && sub != "add" && sub != "evict" && sub != "stats") {
     throw InvalidArgument(
         "usage: fuzzypsm tenants <list|add|evict|stats> --root DIR "
-        "[--tenant ID] [--artifact FILE.fpsmb | --grammar GRAMMAR] "
-        "[--budget BYTES] [--json]");
+        "[--tenant ID] [--grammar GRAMMAR] [--budget BYTES] [--json]");
   }
   GrammarRegistryConfig cfg;
   cfg.rootDir = args.requiredOption("root");
@@ -1183,16 +1141,9 @@ int cmdTenants(const Args& args) {
 
   if (sub == "add") {
     const std::string tenant = args.requiredOption("tenant");
-    if (const auto a = args.option("artifact"); !a.empty()) {
-      std::ifstream in(a, std::ios::binary);
-      if (!in) throw IoError("cannot open artifact: " + a);
-      const std::vector<char> bytes{std::istreambuf_iterator<char>(in),
-                                    std::istreambuf_iterator<char>()};
-      registry.addTenant(tenant, bytes.data(), bytes.size());
-    } else {
-      registry.addTenant(tenant,
-                         loadGrammarFile(args.requiredOption("grammar")));
-    }
+    const std::vector<char> bytes =
+        readGrammarBytes(args.requiredOption("grammar"));
+    registry.addTenant(tenant, bytes.data(), bytes.size());
     // Prove the new tenant serves end to end: cold-load it through the
     // registry's own resume path before reporting success.
     registry.loadTenant(tenant);
@@ -1237,10 +1188,39 @@ int cmdTenants(const Args& args) {
   return 0;
 }
 
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = {
+      {"train", cmdTrain,
+       {"base", "training", "out", "threads", "prior", "min-base-len"},
+       {"reverse"}},
+      {"measure", cmdMeasure, {"grammar", "seed", "samples"}, {}},
+      {"suggest", cmdSuggest, {"grammar", "seed", "target"}, {}},
+      {"explain", cmdExplain, {"grammar"}, {}},
+      {"guesses", cmdGuesses, {"grammar", "n"}, {}},
+      {"generate", cmdGenerate, {"service", "scale", "seed", "out"}, {}},
+      {"serve-bench", cmdServeBench,
+       {"grammar", "tenants", "threads", "duration-ms", "pool", "seed",
+        "batch", "budget", "json", "metrics-dump"},
+       {}},
+      {"stats", cmdStats, {"file", "grammar", "seed"}, {"json"}},
+      {"inspect", cmdInspect, {"artifact"}, {}},
+      {"lint-grammar", cmdLintGrammar, {"grammar", "tolerance", "stride"},
+       {"json", "no-spot-checks"}},
+      {"update-loop", cmdUpdateLoop,
+       {"log", "stream", "grammar", "compact-every", "threads",
+        "metrics-dump"},
+       {}},
+      {"log", cmdLog, {"dir", "keep"}, {"verify", "json"}},
+      {"tenants", cmdTenants, {"root", "tenant", "grammar", "budget"},
+       {"json"}},
+  };
+  return kCommands;
+}
+
 int usage() {
   std::fprintf(stderr,
                "usage: fuzzypsm <train|measure|suggest|explain|guesses|"
-               "generate|serve-bench|stats|compile|inspect|lint-grammar|"
+               "generate|serve-bench|stats|inspect|lint-grammar|"
                "update-loop|log|tenants> [options]\n"
                "see the header of tools/fuzzypsm_cli.cpp for details\n");
   return 2;
@@ -1250,23 +1230,13 @@ int usage() {
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
+  const auto& all = commands();
+  const auto command =
+      std::find_if(all.begin(), all.end(),
+                   [&](const Command& c) { return c.name == argv[1]; });
+  if (command == all.end()) return usage();
   try {
-    const Args args = parseArgs(argc, argv);
-    if (args.command == "train") return cmdTrain(args);
-    if (args.command == "measure") return cmdMeasure(args);
-    if (args.command == "suggest") return cmdSuggest(args);
-    if (args.command == "explain") return cmdExplain(args);
-    if (args.command == "guesses") return cmdGuesses(args);
-    if (args.command == "generate") return cmdGenerate(args);
-    if (args.command == "serve-bench") return cmdServeBench(args);
-    if (args.command == "stats") return cmdStats(args);
-    if (args.command == "compile") return cmdCompile(args);
-    if (args.command == "inspect") return cmdInspect(args);
-    if (args.command == "lint-grammar") return cmdLintGrammar(args);
-    if (args.command == "update-loop") return cmdUpdateLoop(args);
-    if (args.command == "log") return cmdLog(args);
-    if (args.command == "tenants") return cmdTenants(args);
-    return usage();
+    return command->run(parseArgs(*command, argc, argv));
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
