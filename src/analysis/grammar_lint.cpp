@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "artifact/artifact.h"
 #include "artifact/flat_grammar.h"
@@ -29,9 +29,6 @@ const char* lintCodeName(LintCode code) {
     case LintCode::SegmentLengthMismatch: return "segment-length-mismatch";
     case LintCode::TableUnsorted: return "table-unsorted";
     case LintCode::LookupMismatch: return "lookup-mismatch";
-    case LintCode::TrieUnsortedChildren: return "trie-unsorted-children";
-    case LintCode::TrieIndexOutOfRange: return "trie-index-out-of-range";
-    case LintCode::TrieStructure: return "trie-structure";
     case LintCode::WordNotInTrie: return "word-not-in-trie";
     case LintCode::CountInconsistency: return "count-inconsistency";
     case LintCode::NotTrained: return "not-trained";
@@ -158,22 +155,52 @@ std::string lintErrorMessage(const LintReport& report) {
   return msg;
 }
 
-/// Decodes "B8B1" into segment lengths; empty vector = malformed key.
-std::vector<std::size_t> decodeStructureKey(std::string_view key) {
-  std::vector<std::size_t> lengths;
-  std::size_t i = 0;
-  while (i < key.size()) {
-    if (key[i] != 'B') return {};
-    ++i;
-    if (i >= key.size() || !isDigit(key[i]) || key[i] == '0') return {};
-    std::size_t len = 0;
-    while (i < key.size() && isDigit(key[i])) {
-      len = len * 10 + static_cast<std::size_t>(key[i] - '0');
-      ++i;
-    }
-    lengths.push_back(len);
+/// Reads the "B<n>" segment at key[pos] (n >= 1, no leading zero) and
+/// advances pos past it. Returns n, or 0 when the segment is malformed.
+std::size_t readSegmentLength(std::string_view key, std::size_t& pos) {
+  if (pos >= key.size() || key[pos] != 'B') return 0;
+  ++pos;
+  if (pos >= key.size() || !isDigit(key[pos]) || key[pos] == '0') return 0;
+  std::size_t len = 0;
+  while (pos < key.size() && isDigit(key[pos])) {
+    len = len * 10 + static_cast<std::size_t>(key[pos] - '0');
+    ++pos;
   }
-  return lengths;
+  return len;
+}
+
+/// True when `key` decodes as B<n>B<m>... with at least one segment.
+bool wellFormedStructureKey(std::string_view key) {
+  if (key.empty()) return false;
+  for (std::size_t pos = 0; pos < key.size();) {
+    if (readSegmentLength(key, pos) == 0) return false;
+  }
+  return true;
+}
+
+/// Calls fn(n) for each segment length of a well-formed structure key.
+template <typename Fn>
+void forEachSegmentLength(std::string_view key, Fn&& fn) {
+  for (std::size_t pos = 0; pos < key.size();) fn(readSegmentLength(key, pos));
+}
+
+/// Diagnostic loci are built only when a diagnostic is added, so a clean
+/// pass allocates no per-entry strings.
+std::string structureLocus(std::string_view key) {
+  return "structures[" + std::string(key) + "]";
+}
+
+/// Whether `word`, read back to front, is a stored word of `trie` — the
+/// reversed-dictionary lookup without materializing the reversed string.
+bool containsReversed(const FlatTrieView& trie, std::string_view word) {
+  if (word.empty() || trie.nodeCount() == 0) return false;
+  FlatTrieView::NodeId node = FlatTrieView::kRoot;
+  for (auto it = word.rbegin(); it != word.rend(); ++it) {
+    const auto next = trie.child(node, *it);
+    if (!next) return false;
+    node = *next;
+  }
+  return trie.isTerminal(node);
 }
 
 std::string segLocus(std::uint64_t len) {
@@ -318,88 +345,6 @@ void GrammarValidator::lintCountTable(std::string_view locus,
   }
 }
 
-void GrammarValidator::lintFlatTrie(std::string_view locus,
-                                    const FlatTrieView& trie,
-                                    LintReport& out) const {
-  const std::string loc(locus);
-  const std::uint32_t nodeCount =
-      static_cast<std::uint32_t>(trie.nodeCount());
-  const std::uint32_t edgeCount =
-      static_cast<std::uint32_t>(trie.edgeCount());
-  if (nodeCount == 0) {
-    if (edgeCount != 0 || trie.size() != 0) {
-      out.add(LintCode::TrieStructure, LintSeverity::Error, loc,
-              "empty trie with edges or words");
-    }
-    return;
-  }
-
-  std::vector<std::uint32_t> incoming(nodeCount, 0);
-  std::uint64_t terminals = 0;
-  for (std::uint32_t node = 0; node < nodeCount; ++node) {
-    const std::string nodeLoc = loc + ".node[" + std::to_string(node) + "]";
-    const std::uint32_t begin = trie.rawEdgeBegin(node);
-    const std::uint32_t meta = trie.rawEdgeMeta(node);
-    const std::uint32_t n = meta & FlatTrieView::kEdgeCountMask;
-    if ((meta & FlatTrieView::kTerminalBit) != 0) ++terminals;
-    if (begin > edgeCount || n > edgeCount - begin) {
-      out.add(LintCode::TrieIndexOutOfRange, LintSeverity::Error, nodeLoc,
-              "edge slice [" + std::to_string(begin) + ", " +
-                  std::to_string(begin) + "+" + std::to_string(n) +
-                  ") outside the edge arrays (" + std::to_string(edgeCount) +
-                  " edges)");
-      continue;  // the slice is unreadable; do not index into it
-    }
-    for (std::uint32_t e = 0; e < n; ++e) {
-      const std::uint32_t idx = begin + e;
-      const std::uint32_t target = trie.rawEdgeTarget(idx);
-      if (target >= nodeCount) {
-        out.add(LintCode::TrieIndexOutOfRange, LintSeverity::Error, nodeLoc,
-                "edge target " + std::to_string(target) +
-                    " outside the node array (" + std::to_string(nodeCount) +
-                    " nodes)");
-      } else if (target <= node) {
-        // Trie::insert appends each child after its parent and
-        // FlatTrie::fromTrie keeps node ids, so every edge points forward.
-        // With one parent per node that makes every node reachable from
-        // the root: no cycle, and no piece detached from the walk.
-        out.add(LintCode::TrieStructure, LintSeverity::Error, nodeLoc,
-                "edge target " + std::to_string(target) +
-                    " does not follow its source node (cycle or detached "
-                    "subtree)");
-      } else {
-        ++incoming[target];
-      }
-      if (e > 0 &&
-          trie.rawEdgeLabel(idx - 1) >= trie.rawEdgeLabel(idx)) {
-        out.add(LintCode::TrieUnsortedChildren, LintSeverity::Error, nodeLoc,
-                "edge labels not strictly ascending; child lookups "
-                "binary-search this slice");
-      }
-    }
-  }
-  if (!out.ok()) return;  // incoming[] is incomplete under earlier defects
-
-  for (std::uint32_t node = 1; node < nodeCount; ++node) {
-    if (incoming[node] != 1) {
-      out.add(LintCode::TrieStructure, LintSeverity::Error,
-              loc + ".node[" + std::to_string(node) + "]",
-              std::to_string(incoming[node]) +
-                  " incoming edges (a trie node needs exactly 1)");
-      return;
-    }
-  }
-  if (incoming[FlatTrieView::kRoot] != 0) {
-    out.add(LintCode::TrieStructure, LintSeverity::Error, loc,
-            "root has incoming edges");
-  }
-  if (terminals != trie.size()) {
-    out.add(LintCode::TrieStructure, LintSeverity::Error, loc,
-            "terminal-node count " + std::to_string(terminals) +
-                " != stored word count " + std::to_string(trie.size()));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Whole-grammar audits
 // ---------------------------------------------------------------------------
@@ -439,9 +384,9 @@ LintReport GrammarValidator::lint(const GrammarCounts& counts,
   std::uint64_t structSum = 0;
   bool structOverflow = false;
   counts.structures().forEach([&](std::string_view key, std::uint64_t count) {
-    const std::string loc = "structures[" + std::string(key) + "]";
     if (count == 0) {
-      out.add(LintCode::ZeroCountEntry, LintSeverity::Error, loc,
+      out.add(LintCode::ZeroCountEntry, LintSeverity::Error,
+              structureLocus(key),
               "zero-count structure carries no probability mass");
     }
     if (structSum > std::numeric_limits<std::uint64_t>::max() - count) {
@@ -449,20 +394,20 @@ LintReport GrammarValidator::lint(const GrammarCounts& counts,
     } else {
       structSum += count;
     }
-    const auto lengths = decodeStructureKey(key);
-    if (lengths.empty()) {
-      out.add(LintCode::BadStructureKey, LintSeverity::Error, loc,
-              "key does not decode as B<n>B<m>...");
+    if (!wellFormedStructureKey(key)) {
+      out.add(LintCode::BadStructureKey, LintSeverity::Error,
+              structureLocus(key), "key does not decode as B<n>B<m>...");
       return;
     }
-    for (const std::size_t len : lengths) {
+    forEachSegmentLength(key, [&](std::size_t len) {
       const SegmentTable* table = counts.segmentTable(len);
       if (table == nullptr || table->empty()) {
-        out.add(LintCode::DanglingSegmentRef, LintSeverity::Error, loc,
+        out.add(LintCode::DanglingSegmentRef, LintSeverity::Error,
+                structureLocus(key),
                 "references B_" + std::to_string(len) +
                     " but no segment of that length was trained");
       }
-    }
+    });
   });
   if (structOverflow) {
     out.add(LintCode::MassNotConserved, LintSeverity::Error, "structures",
@@ -587,22 +532,21 @@ LintReport GrammarValidator::lint(const FlatGrammarView& view) const {
   const FlatTableView& structures = view.structures();
   for (std::uint32_t i = 0; i < structures.distinct(); ++i) {
     const std::string_view key = structures.form(i);
-    const std::string loc = "structures[" + std::string(key) + "]";
-    const auto lengths = decodeStructureKey(key);
-    if (lengths.empty()) {
-      out.add(LintCode::BadStructureKey, LintSeverity::Error, loc,
-              "key does not decode as B<n>B<m>...");
+    if (!wellFormedStructureKey(key)) {
+      out.add(LintCode::BadStructureKey, LintSeverity::Error,
+              structureLocus(key), "key does not decode as B<n>B<m>...");
       continue;
     }
     if (!segmentsSorted) continue;  // segmentTable() lookups are undefined
-    for (const std::size_t len : lengths) {
+    forEachSegmentLength(key, [&](std::size_t len) {
       const FlatTableView* table = view.segmentTable(len);
       if (table == nullptr || table->empty()) {
-        out.add(LintCode::DanglingSegmentRef, LintSeverity::Error, loc,
+        out.add(LintCode::DanglingSegmentRef, LintSeverity::Error,
+                structureLocus(key),
                 "references B_" + std::to_string(len) +
                     " but the artifact carries no such table");
       }
-    }
+    });
   }
 
   // Cross-counter conservation (same invariants as the live grammar).
@@ -621,15 +565,8 @@ LintReport GrammarValidator::lint(const FlatGrammarView& view) const {
                 std::to_string(segmentOccurrences));
   }
 
-  // Tries. Spot checks below walk them, so only run those on tries that
-  // audited structurally sound.
-  const std::size_t errorsBeforeTries = out.errorCount();
-  lintFlatTrie("trie", view.baseDictionary(), out);
-  if (config.matchReverse) {
-    lintFlatTrie("reversedTrie", view.reversedDictionary(), out);
-  }
-  const bool triesSound = out.errorCount() == errorsBeforeTries;
-
+  // Tries. The loader proved both are trees (FlatTrieView::validate), so
+  // the spot checks below can walk them.
   if (view.baseDictionary().size() != view.baseWordCount()) {
     out.add(LintCode::CountInconsistency, LintSeverity::Warning, "trie",
             "trie stores " + std::to_string(view.baseDictionary().size()) +
@@ -640,7 +577,7 @@ LintReport GrammarValidator::lint(const FlatGrammarView& view) const {
   // Cross-representation spot checks: the word pool and the trie encode the
   // same dictionary; every sampled word must be reachable through the trie
   // the scorer will actually walk.
-  if (options_.spotChecks && triesSound && view.baseWordCount() > 0) {
+  if (options_.spotChecks && view.baseWordCount() > 0) {
     const std::uint64_t stride = static_cast<std::uint64_t>(
         std::max<std::size_t>(options_.spotCheckStride, 1));
     const std::uint64_t count = view.baseWordCount();
@@ -654,8 +591,7 @@ LintReport GrammarValidator::lint(const FlatGrammarView& view) const {
         break;
       }
       if (config.matchReverse) {
-        const std::string rev(word.rbegin(), word.rend());
-        if (!view.reversedDictionary().contains(rev)) {
+        if (!containsReversed(view.reversedDictionary(), word)) {
           out.add(LintCode::WordNotInTrie, LintSeverity::Error,
                   "baseWords[" + std::to_string(i) + "]",
                   "reversed base word not reachable through the reversed "

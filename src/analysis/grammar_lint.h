@@ -12,7 +12,7 @@
 // GrammarValidator audits a grammar one level above the byte format and
 // emits typed diagnostics, mirroring ArtifactError's fail-closed style:
 // every defect carries a stable LintCode, a severity, and a locus naming
-// the table/node/rule it was found in. A grammar is stored, read and
+// the table/entry/rule it was found in. A grammar is stored, read and
 // served only as an .fpsmb artifact, so there are two entry points:
 //
 //   * a zero-copy FlatGrammarView over a mapped .fpsmb artifact — what
@@ -21,9 +21,16 @@
 //   * a bare GrammarCounts bundle with its config — the sharded trainer's
 //     per-shard debug lint, before anything is compiled;
 //
-// plus the granular audits of raw components (FlatTableView /
-// FlatTrieView), so the corruption battery in tests/analysis_test.cpp can
-// seed defects the byte loader would refuse to produce.
+// plus the granular audits of raw components (FlatTableView, transform
+// rules), so the corruption battery in tests/analysis_test.cpp can seed
+// defects the byte loader would refuse to produce.
+//
+// The tries are not audited here: the loader's FlatTrieView::validate()
+// proves each one is a tree before any view exists, so the lint only
+// spot-checks that stored base words are reachable through them. A clean
+// pass builds no per-entry strings — a diagnostic's locus is formatted
+// only when the diagnostic is added — so the gate costs a read of the
+// tables, not a string per entry.
 //
 // Wire-in points:
 //   * `fuzzypsm lint-grammar` (tools/fuzzypsm_cli.cpp): exit code = worst
@@ -49,12 +56,12 @@ namespace fpsm {
 
 class FlatGrammarView;
 class FlatTableView;
-class FlatTrieView;
 class GrammarCounts;
 struct FuzzyConfig;
 
-/// Stable diagnostic codes. The corruption battery asserts on the exact
-/// code, so renaming or renumbering is a breaking change; append only.
+/// Diagnostic codes. The corruption battery asserts on the exact code, and
+/// the CLI prints each by its kebab-case name (lintCodeName), so renaming
+/// one is a breaking change.
 enum class LintCode {
   MassNotConserved,       ///< sum of table counts deviates from stored total
   NonFiniteValue,         ///< NaN/Inf prior, probability, or log-prob
@@ -67,9 +74,6 @@ enum class LintCode {
   SegmentLengthMismatch,  ///< form length != its table's segment length
   TableUnsorted,          ///< flat table forms not strictly ascending
   LookupMismatch,         ///< binary search disagrees with direct entry read
-  TrieUnsortedChildren,   ///< edge labels of a node not strictly ascending
-  TrieIndexOutOfRange,    ///< edge slice or edge target outside its array
-  TrieStructure,          ///< not a tree: bad incoming-edge or terminal count
   WordNotInTrie,          ///< stored base word unreachable through the trie
   CountInconsistency,     ///< cross-counter drift (e.g. trained != S total)
   NotTrained,             ///< grammar carries no counts at all
@@ -90,7 +94,7 @@ const char* lintSeverityName(LintSeverity severity);
 struct LintDiagnostic {
   LintCode code;
   LintSeverity severity;
-  std::string locus;    ///< e.g. "segments[B8]", "trie.node[17]", "config"
+  std::string locus;    ///< e.g. "segments[B8]", "baseWords[17]", "config"
   std::string message;  ///< human-readable detail
 };
 
@@ -161,8 +165,9 @@ class GrammarValidator {
   LintReport lint(const GrammarCounts& counts, const FuzzyConfig& config) const;
 
   /// Audits the zero-copy view over a validated .fpsmb buffer: the counts
-  /// checks above plus the trie audits. FlatTrie::fromTrie preserves node
-  /// ids, so lintFlatTrie sees the shape of the trie it was compiled from.
+  /// checks above, the table spot checks, and base words reachable through
+  /// the tries. The trie shape itself was proven by the loader
+  /// (FlatTrieView::validate), and every FlatGrammarView comes from it.
   LintReport lint(const FlatGrammarView& view) const;
 
   // --- granular entry points ----------------------------------------------
@@ -173,14 +178,6 @@ class GrammarValidator {
   /// length (segment tables); 0 skips the length check (structures).
   void lintCountTable(std::string_view locus, const FlatTableView& table,
                       std::uint32_t expectLen, LintReport& out) const;
-
-  /// Audits a flat trie: edge slices in bounds, targets valid node ids
-  /// that follow their source node, labels strictly ascending per node,
-  /// exactly one incoming edge per non-root node, terminal count == word
-  /// count. Together these make it a tree whose every node the root
-  /// reaches — the shape of the pointer trie it was compiled from.
-  void lintFlatTrie(std::string_view locus, const FlatTrieView& trie,
-                    LintReport& out) const;
 
   /// Audits one transformation rule's counters and the probabilities the
   /// meter derives from them: yes <= total, prior finite and non-negative,

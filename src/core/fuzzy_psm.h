@@ -33,6 +33,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/fuzzy_parse.h"
@@ -69,6 +70,12 @@ class FuzzyPsm : public ProbabilisticModel {
   /// parsed against this grammar's base dictionary and config for scores
   /// to stay meaningful; counts themselves merge unconditionally.
   void absorbCounts(const GrammarCounts& delta) { counts_.merge(delta); }
+
+  /// Replaces the counting state wholesale — for a caller that already
+  /// holds the merged result (OnlineUpdater adopts the counts it just
+  /// published instead of merging the same delta again). Same caveat as
+  /// absorbCounts: the counts must come from this dictionary and config.
+  void setCounts(GrammarCounts counts) { counts_ = std::move(counts); }
 
   // Meter / ProbabilisticModel interface.
   std::string name() const override { return "fuzzyPSM"; }

@@ -62,6 +62,9 @@ constexpr const char* kHistoNames[] = {
     "online.compact.write_us",
     "online.compact.gate_us",
     "online.compact.publish_us",
+    "online.resume.log_open_us",
+    "online.resume.artifact_open_us",
+    "online.resume.gate_us",
     "genlog.append.latency_us",
     "train.read.chunk_us",
     "train.parse.chunk_us",
@@ -71,8 +74,8 @@ constexpr const char* kHistoNames[] = {
 static_assert(std::size(kHistoNames) == kHistoCount);
 
 constexpr const char* kHistoUnits[] = {
-    "us", "us", "passwords", "us", "us", "us", "us",
-    "us", "us", "us",        "us", "us", "us", "us",
+    "us", "us", "passwords", "us", "us", "us", "us", "us", "us",
+    "us", "us", "us",        "us", "us", "us", "us", "us",
 };
 static_assert(std::size(kHistoUnits) == kHistoCount);
 

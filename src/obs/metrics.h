@@ -100,6 +100,9 @@ enum class Histo : std::uint16_t {
   OnlineCompactWrite,   // online.compact.write_us
   OnlineCompactGate,    // online.compact.gate_us
   OnlineCompactPublish,  // online.compact.publish_us
+  OnlineResumeLogOpen,  // online.resume.log_open_us
+  OnlineResumeArtifactOpen,  // online.resume.artifact_open_us
+  OnlineResumeGate,     // online.resume.gate_us
   GenlogAppendLatency,  // genlog.append.latency_us
   TrainReadChunk,       // train.read.chunk_us
   TrainShardParse,      // train.parse.chunk_us

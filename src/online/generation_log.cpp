@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "artifact/checksum.h"
+#include "artifact/mapped_file.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 
@@ -139,15 +140,17 @@ bool validateEntryFile(const fs::path& path, const GenerationEntry& entry,
              " bytes, file has " + std::to_string(size);
     return false;
   }
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> buf(static_cast<std::size_t>(size));
-  if (!in || (!buf.empty() && !in.read(buf.data(),
-                                       static_cast<std::streamsize>(size)))) {
+  // Hash the file where it lies: the mapping is the page cache itself, so
+  // recovery reads each byte once and copies none of them.
+  MappedFile map;
+  try {
+    map = MappedFile::open(path.string());
+  } catch (const Error&) {
     reason = RecoverySkipReason::MissingFile;
     detail = "cannot read " + entry.file;
     return false;
   }
-  if (xxhash64(buf.data(), buf.size()) != entry.checksum) {
+  if (xxhash64(map.data(), map.size()) != entry.checksum) {
     reason = RecoverySkipReason::ChecksumMismatch;
     detail = entry.file + ": file checksum mismatch";
     return false;

@@ -113,8 +113,10 @@ class GenerationLog {
  public:
   /// Opens an existing log directory or creates a fresh one (including the
   /// manifest header). Runs full recovery: every committed entry's file is
-  /// re-checksummed, tail damage is skipped into `report` (optional), and
-  /// non-tail damage throws GenerationLogError.
+  /// re-checksummed where it lies, through a read-only mapping (no copy),
+  /// tail damage is skipped into `report` (optional), and non-tail damage
+  /// throws GenerationLogError. A file that cannot be mapped is reported
+  /// as MissingFile, like one that cannot be stat'ed.
   explicit GenerationLog(const std::string& directory,
                          RecoveryReport* report = nullptr);
 

@@ -42,22 +42,28 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::resume(
     RecoveryReport* report) {
   RecoveryReport local;
   RecoveryReport& rep = report ? *report : local;
+  obs::StageTimer logOpenSpan(obs::Histo::OnlineResumeLogOpen);
   GenerationLog log(directory, &rep);
+  logOpenSpan.stop();
 
   // Newest-first: the freshest generation that clears every gate serves.
   // A generation that fails here was checksummed-good on disk but is
   // unservable (malformed bytes, or semantics the trust gate rejects) —
   // report it and keep walking, exactly like tail recovery one level down.
+  // Each candidate records its open and gate spans, so a slow cold load
+  // names its stage; a stage that throws still records (it ran and failed).
   const auto& entries = log.entries();
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     std::shared_ptr<const GrammarArtifact> artifact;
     try {
+      obs::StageTimer openSpan(obs::Histo::OnlineResumeArtifactOpen);
       artifact = GrammarArtifact::open(log.pathFor(it->sequence));
     } catch (const Error& e) {
       rep.add(RecoverySkipReason::UnreadableArtifact, it->sequence, e.what());
       continue;
     }
     try {
+      obs::StageTimer gateSpan(obs::Histo::OnlineResumeGate);
       gate(config, artifact->grammar());
     } catch (const Error& e) {
       rep.add(RecoverySkipReason::LintRejected, it->sequence, e.what());
@@ -165,10 +171,10 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
   obs::StageTimer trainSpan(obs::Histo::OnlineCompactTrain);
   TrainOptions topts;
   topts.threads = config_.compactionThreads;
-  GrammarCounts delta;
   GrammarCounts merged;
   try {
-    delta = ShardedTrainer(base_, topts).countEntries(entries);
+    const GrammarCounts delta =
+        ShardedTrainer(base_, topts).countEntries(entries);
     merged = base_.counts();
     merged.merge(delta);
   } catch (const InvalidArgument& e) {
@@ -201,7 +207,9 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
     obs::StageTimer publishSpan(obs::Histo::OnlineCompactPublish);
     res.generation = service_.publishFromArtifact(std::move(artifact));
     res.published = true;
-    base_.absorbCounts(delta);
+    // The published generation IS the merged counts: adopt them rather
+    // than merging the delta into base_ a second time.
+    base_.setCounts(std::move(merged));
     published_.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::Counter::OnlinePublished);
     lastSequence_.store(res.sequence, std::memory_order_relaxed);

@@ -16,9 +16,11 @@
 //   compactNow() drains every shard, parses the combined batch into a
 //                GrammarCounts delta with ShardedTrainer (same parallel
 //                pipeline as batch training), merges the delta into a COPY
-//                of the cumulative counts, serializes the merged grammar
-//                with the canonical artifact writer, appends it to the
-//                GenerationLog, and only then gates + publishes:
+//                of the cumulative counts (adopted as the cumulative counts
+//                once it publishes, so each delta is merged once),
+//                serializes the merged grammar with the canonical artifact
+//                writer, appends it to the GenerationLog, and only then
+//                gates + publishes:
 //
 //                   gate 1  GrammarArtifact::open — byte-level validation
 //                   gate 2  the trust gate — GrammarValidator lint with the
@@ -36,11 +38,17 @@
 //                a batch that deterministically produces a rejected
 //                grammar would wedge the loop.
 //
-// Trust: this class is the one place a generation is trusted. The trust
-// gate runs exactly once per served generation — in bootstrap() before
-// generation 1 reaches the log, in compactNow() after the append, and in
-// resume() for each candidate it walks. TenantMeter does not re-audit what
-// it is handed.
+// Trust: this class owns the one trust gate, gate(). It runs exactly once
+// per served generation — in bootstrap() before generation 1 reaches the
+// log, in compactNow() after the append, and in resume() for each
+// candidate it walks — and GrammarRegistry::addTenant calls the same gate
+// before a tenant's generation 1 reaches its log. TenantMeter does not
+// re-audit what it is handed. The gate lints counts and tables only: the
+// artifact loader (gate 1) has already proven both tries are trees, so a
+// cold load (resume) reads, hashes and audits each byte once — the log's
+// open hashes the file in place, GrammarArtifact::open checks sections
+// and tries, and the lint reads the tables. resume() records each stage
+// as a span (online.resume.log_open_us, artifact_open_us, gate_us).
 //
 // Determinism (the online-vs-batch contract, tests/online_test.cpp): a
 // parse is a pure function of (password, base dictionary, config), and
@@ -87,11 +95,11 @@ struct OnlineUpdaterConfig {
   /// Threads for the compaction parse (ShardedTrainer); 0 = auto.
   unsigned compactionThreads = 0;
   /// Optional acceptance policy, run by the trust gate after the lint on
-  /// every candidate generation — at bootstrap(), at compaction and at
-  /// resume(), so a grammar this policy rejects is never served from any
-  /// path. Throw (any Error subclass; GrammarLintError carries a report)
-  /// to reject the candidate: bootstrap throws, compaction rolls back,
-  /// resume skips it. Deployment hooks (canary scoring, external policy)
+  /// every candidate generation — at bootstrap(), at compaction, at
+  /// resume() and at GrammarRegistry::addTenant, so a grammar this policy
+  /// rejects is never served from any path. Throw (any Error subclass;
+  /// GrammarLintError carries a report) to reject the candidate: bootstrap
+  /// and addTenant throw, compaction rolls back, resume skips it. Deployment hooks (canary scoring, external policy)
   /// and the test suite's deterministic rejection injection plug in here.
   std::function<void(const FlatGrammarView&)> publishGate;
   /// Serving configuration of the TenantMeter the updater publishes to.
@@ -143,6 +151,14 @@ class OnlineUpdater {
       const std::string& directory, OnlineUpdaterConfig config = {},
       RecoveryReport* report = nullptr);
 
+  /// The trust gate: lints `grammar` with the default LintOptions, then
+  /// runs config.publishGate. Throws GrammarLintError (or whatever the
+  /// policy throws) on rejection. Besides the updater's own paths,
+  /// GrammarRegistry::addTenant runs it before a new tenant's generation 1
+  /// reaches its log, under the tenant config resume() will gate with.
+  static void gate(const OnlineUpdaterConfig& config,
+                   const FlatGrammarView& grammar);
+
   OnlineUpdater(const OnlineUpdater&) = delete;
   OnlineUpdater& operator=(const OnlineUpdater&) = delete;
 
@@ -190,11 +206,6 @@ class OnlineUpdater {
                 std::shared_ptr<const GrammarArtifact> served,
                 std::uint64_t servedSequence, OnlineUpdaterConfig config);
 
-  /// The trust gate: lints `grammar` with the default LintOptions, then
-  /// runs config.publishGate. Throws GrammarLintError (or whatever the
-  /// policy throws) on rejection.
-  static void gate(const OnlineUpdaterConfig& config,
-                   const FlatGrammarView& grammar);
   /// Pays the one-time FuzzyPsm materialization for a deferred-base
   /// updater (see baseArtifact_). No-op once base_ is live.
   void materializeBaseLocked() FPSM_REQUIRES(compactionMutex_);

@@ -93,10 +93,15 @@ void GrammarRegistry::addTenant(const std::string& tenant,
     throw InvalidArgument("GrammarRegistry: invalid tenant id '" + tenant +
                           "' (want [A-Za-z0-9._-]{1,64}, no leading dot)");
   }
-  // Validate the image BEFORE anything touches disk, so a malformed
-  // artifact can never become a registered tenant's generation 1.
+  // Validate and gate the image BEFORE anything touches disk, under the
+  // config every later resume() of this tenant gates with, so neither a
+  // malformed artifact nor one the trust gate rejects can become a
+  // registered tenant's generation 1.
   const auto* first = static_cast<const std::byte*>(artifactBytes);
-  GrammarArtifact::fromBytes(std::vector<std::byte>(first, first + byteCount));
+  OnlineUpdater::gate(config_.tenantConfig,
+                      GrammarArtifact::fromBytes(
+                          std::vector<std::byte>(first, first + byteCount))
+                          ->grammar());
 
   const MutexLock lock(mutex_);
   const std::string dir =

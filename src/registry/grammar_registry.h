@@ -150,9 +150,14 @@ class GrammarRegistry {
   static bool validTenantId(std::string_view id);
 
   /// Registers a new tenant and commits `artifactBytes` (a compiled
-  /// .fpsmb image, validated before anything touches disk) as generation
-  /// 1 of its log. The tenant is NOT loaded — first touch does that.
-  /// Throws InvalidArgument on a bad id or an already-registered tenant.
+  /// .fpsmb image) as generation 1 of its log. Before anything touches
+  /// disk the image is loaded (ArtifactError on bad bytes) and put through
+  /// OnlineUpdater's trust gate under tenantConfig (GrammarLintError, or
+  /// what tenantConfig.publishGate throws), so a tenant is registered only
+  /// with a generation its cold load will serve; a rejected image leaves
+  /// no directory and no id taken. The tenant is NOT loaded — first touch
+  /// does that. Throws InvalidArgument on a bad id or an
+  /// already-registered tenant.
   void addTenant(const std::string& tenant, const void* artifactBytes,
                  std::size_t byteCount) FPSM_EXCLUDES(mutex_);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "util/check.h"
 
@@ -52,28 +53,46 @@ std::string FlatTrieView::validate() const {
                ? std::string()
                : "empty trie with edges or words";
   }
+  // Trie::insert appends each child after its parent and FlatTrie::fromTrie
+  // keeps node ids, so every edge points forward. With exactly one parent
+  // per non-root node, that makes the arrays a tree every node of which
+  // the root reaches: no cycle, no shared child, no detached piece.
+  std::vector<std::uint8_t> hasParent(nodeCount_, 0);
+  std::uint32_t parented = 0;
   std::uint64_t terminals = 0;
   for (std::uint32_t node = 0; node < nodeCount_; ++node) {
-    const std::uint64_t begin = edgeBegin_[node];
+    const std::uint32_t begin = edgeBegin_[node];
     const std::uint32_t n = edgeMeta_[node] & kEdgeCountMask;
     if ((edgeMeta_[node] & kTerminalBit) != 0) ++terminals;
-    if (begin + n > edgeCount_) {
+    if (begin > edgeCount_ || n > edgeCount_ - begin) {
       return "edge slice of node " + std::to_string(node) + " out of range";
     }
-    for (std::uint32_t e = 0; e < n; ++e) {
-      const std::uint32_t idx = edgeBegin_[node] + e;
-      if (edgeTargets_[idx] >= nodeCount_) {
-        return "edge target " + std::to_string(edgeTargets_[idx]) +
+    for (std::uint32_t idx = begin; idx < begin + n; ++idx) {
+      const std::uint32_t target = edgeTargets_[idx];
+      if (target >= nodeCount_) {
+        return "edge target " + std::to_string(target) +
                " out of range (nodes: " + std::to_string(nodeCount_) + ")";
       }
-      if (edgeTargets_[idx] == kRoot) {
-        return "edge target points at the root";
+      if (target <= node) {
+        return "edge target " + std::to_string(target) + " of node " +
+               std::to_string(node) +
+               " does not follow its source node (cycle or detached "
+               "subtree)";
       }
-      if (e > 0 && edgeLabels_[idx - 1] >= edgeLabels_[idx]) {
+      if (hasParent[target] != 0) {
+        return "node " + std::to_string(target) + " has two parents";
+      }
+      hasParent[target] = 1;
+      ++parented;
+      if (idx > begin && edgeLabels_[idx - 1] >= edgeLabels_[idx]) {
         return "edge labels of node " + std::to_string(node) +
                " not strictly ascending";
       }
     }
+  }
+  if (parented != nodeCount_ - 1) {
+    return std::to_string(nodeCount_ - 1 - parented) +
+           " non-root node(s) have no parent";
   }
   if (terminals != wordCount_) {
     return "terminal count " + std::to_string(terminals) +

@@ -76,22 +76,16 @@ class FlatTrieView {
 
   bool empty() const { return wordCount_ == 0; }
 
-  /// Structural validation for views over untrusted bytes: every edge slice
-  /// in bounds, every target a valid node id, labels strictly ascending per
-  /// node, terminal count == wordCount. Returns an empty string when valid,
-  /// else a description of the first defect found.
+  /// Structural validation for views over untrusted bytes, and the one
+  /// audit a trie gets: every edge slice in bounds, every target a valid
+  /// node id that follows its source node, exactly one parent per non-root
+  /// node, labels strictly ascending per node, terminal count == wordCount.
+  /// Together these prove the arrays are a tree the root reaches in full —
+  /// the shape of the pointer trie FlatTrie::fromTrie compiles, node ids
+  /// included. Returns an empty string when valid, else a description of
+  /// the first defect found. The artifact loader runs it on both tries, so
+  /// every view served from an artifact has passed it.
   std::string validate() const;
-
-  // Raw array reads for the grammar linter (analysis/grammar_lint.h),
-  // which re-derives the invariants validate() asserts but reports every
-  // defect with a typed locus. Unchecked: the caller must stay within
-  // nodeCount()/edgeCount().
-  std::uint32_t rawEdgeBegin(NodeId node) const { return edgeBegin_[node]; }
-  std::uint32_t rawEdgeMeta(NodeId node) const { return edgeMeta_[node]; }
-  NodeId rawEdgeTarget(std::uint32_t edge) const {
-    return edgeTargets_[edge];
-  }
-  char rawEdgeLabel(std::uint32_t edge) const { return edgeLabels_[edge]; }
 
  private:
   const std::uint32_t* edgeBegin_ = nullptr;

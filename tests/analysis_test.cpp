@@ -8,18 +8,22 @@
 //     with lint(GrammarCounts, config) for defects the byte loader rejects;
 //   * byte tampering — a compiled artifact edited in place, checksums
 //     repaired (tests/artifact_tamper.h), so the loader accepts it;
-//   * raw views — hand-built FlatTableView/FlatTrieView fed to the
-//     granular lint entry points, for defects the byte loader would refuse
-//     to reproduce (mass drift, zero counts, unsorted/no-tree tries).
+//   * raw views — hand-built FlatTableViews fed to the granular lint
+//     entry points, for defects the byte loader would refuse to reproduce
+//     (mass drift, zero counts), and hand-built FlatTrieViews fed to the
+//     loader's own trie audit, FlatTrieView::validate() (unsorted or
+//     no-tree tries).
 //
 // Every seeded corruption asserts its exact LintCode, and the gate tests
 // prove a linted-bad artifact cannot reach readers through OnlineUpdater
 // (bootstrap, resume), while TenantMeter serves what it is handed.
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +41,31 @@
 #include "trie/flat_trie.h"
 #include "trie/trie.h"
 #include "util/check.h"
+#include "util/rng.h"
+
+// Heap allocations made on the calling thread, counted by replacing the
+// global operator new of this test binary (the technique of the bench
+// suite's alloc_count.cpp). The array, nothrow and sized forms of
+// libstdc++ forward to these, so every unaligned allocation is counted and
+// freed by the matching pair. GCC inlines these into callers in this file
+// and then reads malloc/free under operator new/delete as a mismatch; the
+// pair is consistent, so that warning is silenced for these lines only.
+namespace {
+thread_local std::uint64_t tAllocations = 0;
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  ++tAllocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace fpsm {
 namespace {
@@ -194,8 +223,17 @@ TEST(GrammarLintTest, EmptyTableWithMass) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded corruption: raw flat tries.
+// Seeded corruption: raw flat tries. The loader's FlatTrieView::validate()
+// is the one trie audit (the lint no longer walks tries), so every shape
+// defect is asserted on it directly, and the artifact battery proves the
+// loader rejects the same defects in checksum-repaired bytes.
 // ---------------------------------------------------------------------------
+
+/// Asserts `defect` is non-empty and names the problem (`expect`).
+void expectDefect(const std::string& defect, const char* expect) {
+  ASSERT_FALSE(defect.empty()) << "expected a defect naming: " << expect;
+  EXPECT_NE(defect.find(expect), std::string::npos) << defect;
+}
 
 TEST(GrammarLintTest, UnsortedTrieChildren) {
   // root --b--> 1, root --a--> 2: labels out of order, so child() binary
@@ -207,12 +245,7 @@ TEST(GrammarLintTest, UnsortedTrieChildren) {
   const char edgeLabels[] = {'b', 'a'};
   const FlatTrieView trie(edgeBegin, edgeMeta, 3, edgeTargets, edgeLabels, 2,
                           2);
-  LintReport report;
-  GrammarValidator().lintFlatTrie("trie", trie, report);
-  const auto* d = findCode(report, LintCode::TrieUnsortedChildren);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->severity, LintSeverity::Error);
-  EXPECT_EQ(d->locus, "trie.node[0]");
+  expectDefect(trie.validate(), "edge labels of node 0 not strictly ascending");
 }
 
 TEST(GrammarLintTest, TrieEdgeTargetOutOfRange) {
@@ -222,9 +255,7 @@ TEST(GrammarLintTest, TrieEdgeTargetOutOfRange) {
   const char edgeLabels[] = {'a'};
   const FlatTrieView trie(edgeBegin, edgeMeta, 2, edgeTargets, edgeLabels, 1,
                           1);
-  LintReport report;
-  GrammarValidator().lintFlatTrie("trie", trie, report);
-  EXPECT_TRUE(report.has(LintCode::TrieIndexOutOfRange)) << report.render();
+  expectDefect(trie.validate(), "edge target 5 out of range");
 }
 
 TEST(GrammarLintTest, TrieEdgeSliceOutOfRange) {
@@ -234,9 +265,7 @@ TEST(GrammarLintTest, TrieEdgeSliceOutOfRange) {
   const char edgeLabels[] = {'a'};
   const FlatTrieView trie(edgeBegin, edgeMeta, 2, edgeTargets, edgeLabels, 1,
                           1);
-  LintReport report;
-  GrammarValidator().lintFlatTrie("trie", trie, report);
-  EXPECT_TRUE(report.has(LintCode::TrieIndexOutOfRange)) << report.render();
+  expectDefect(trie.validate(), "edge slice of node 1 out of range");
 }
 
 TEST(GrammarLintTest, TrieNodeWithTwoParents) {
@@ -248,9 +277,20 @@ TEST(GrammarLintTest, TrieNodeWithTwoParents) {
   const char edgeLabels[] = {'a', 'b', 'c'};
   const FlatTrieView trie(edgeBegin, edgeMeta, 3, edgeTargets, edgeLabels, 3,
                           1);
-  LintReport report;
-  GrammarValidator().lintFlatTrie("trie", trie, report);
-  EXPECT_TRUE(report.has(LintCode::TrieStructure)) << report.render();
+  expectDefect(trie.validate(), "node 2 has two parents");
+}
+
+TEST(GrammarLintTest, TrieNodeWithNoParent) {
+  // root --a--> 1 and nothing reaches node 2: its slice is never pointed
+  // at, so the walk parents one node fewer than a tree needs.
+  const std::uint32_t edgeBegin[] = {0, 1, 1};
+  const std::uint32_t edgeMeta[] = {1, FlatTrieView::kTerminalBit,
+                                    FlatTrieView::kTerminalBit};
+  const std::uint32_t edgeTargets[] = {1, 2};
+  const char edgeLabels[] = {'a', 'b'};
+  const FlatTrieView trie(edgeBegin, edgeMeta, 3, edgeTargets, edgeLabels, 2,
+                          2);
+  expectDefect(trie.validate(), "1 non-root node(s) have no parent");
 }
 
 TEST(GrammarLintTest, TrieTerminalCountDrift) {
@@ -261,9 +301,7 @@ TEST(GrammarLintTest, TrieTerminalCountDrift) {
   // One terminal node, but the header claims 3 stored words.
   const FlatTrieView trie(edgeBegin, edgeMeta, 2, edgeTargets, edgeLabels, 1,
                           3);
-  LintReport report;
-  GrammarValidator().lintFlatTrie("trie", trie, report);
-  EXPECT_TRUE(report.has(LintCode::TrieStructure)) << report.render();
+  expectDefect(trie.validate(), "terminal count 1 != stored word count 3");
 }
 
 TEST(GrammarLintTest, TrieDetachedCycle) {
@@ -276,16 +314,13 @@ TEST(GrammarLintTest, TrieDetachedCycle) {
   const char edgeLabels[] = {'a', 'b', 'c'};
   const FlatTrieView trie(edgeBegin, edgeMeta, 4, edgeTargets, edgeLabels, 3,
                           1);
-  LintReport report;
-  GrammarValidator().lintFlatTrie("trie", trie, report);
-  const auto* d = findCode(report, LintCode::TrieStructure);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->locus, "trie.node[3]");
+  expectDefect(trie.validate(),
+               "edge target 2 of node 3 does not follow its source node");
 }
 
 TEST(GrammarLintTest, CleanPointerTrieAndFlatTrieAgree) {
-  // The trie audit runs on the compiled trie only: FlatTrie::fromTrie keeps
-  // node ids, so it has the pointer trie's exact shape.
+  // FlatTrie::fromTrie keeps node ids, so the compiled trie has the
+  // pointer trie's exact shape, and the loader's audit passes it.
   const FuzzyPsm psm = makeTrainedPsm();
   const Trie& pointer = psm.baseDictionary();
   const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
@@ -298,9 +333,65 @@ TEST(GrammarLintTest, CleanPointerTrieAndFlatTrieAgree) {
       EXPECT_EQ(flat.child(node, label), std::optional(target)) << node;
     });
   }
-  LintReport report;
-  GrammarValidator().lintFlatTrie("trie", flat, report);
-  EXPECT_TRUE(report.clean()) << report.render();
+  EXPECT_EQ(flat.validate(), "");
+}
+
+// ---------------------------------------------------------------------------
+// Work count: a clean load + lint allocates the same number of times for
+// any grammar. The loader's trie audit and the lint build no string or
+// vector per trie node, structure or base word, so the count is a fixed
+// handful of buffers (section table, segment index, one parent map per
+// trie).
+// ---------------------------------------------------------------------------
+
+/// A trained grammar over `words` pseudo-random 6..12-letter base words,
+/// each trained once with a suffix of 1..`suffixes` digits, so it has one
+/// structure per (word length, suffix length) pair it draws.
+FuzzyPsm makeSizedPsm(std::size_t words, std::size_t suffixes,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  FuzzyPsm psm;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::string word(6 + rng.below(7), 'a');
+    for (char& c : word) c = static_cast<char>('a' + rng.below(26));
+    psm.addBaseWord(word);
+    psm.update(word + std::string(1 + i % suffixes, '7'));
+  }
+  return psm;
+}
+
+/// Heap allocations of GrammarArtifact::fromBytes + a default lint of the
+/// view; `clean` reports whether the lint came back clean.
+std::uint64_t loadAndLintAllocations(std::vector<std::byte> bytes,
+                                     bool& clean) {
+  const std::uint64_t before = tAllocations;
+  {
+    const auto artifact = GrammarArtifact::fromBytes(std::move(bytes));
+    clean = GrammarValidator().lint(artifact->grammar()).clean();
+  }
+  return tAllocations - before;
+}
+
+TEST(GrammarLintTest, CleanLoadAndLintAllocationsDoNotGrowWithTheGrammar) {
+  const FuzzyPsm small = makeSizedPsm(20, 2, 1);
+  const FuzzyPsm large = makeSizedPsm(2500, 6, 2);
+  // Past node id 9999 a per-node locus such as "trie.node[12345]"
+  // outgrows the small-string buffer, so building one per node would
+  // allocate once per node and show up here.
+  ASSERT_GT(large.baseDictionary().nodeCount(), 10000u);
+  ASSERT_GE(large.baseDictionary().nodeCount(),
+            10 * small.baseDictionary().nodeCount());
+  ASSERT_GT(large.structures().distinct(), small.structures().distinct());
+
+  bool smallClean = false;
+  bool largeClean = false;
+  const std::uint64_t smallAllocs =
+      loadAndLintAllocations(compileArtifact(small), smallClean);
+  const std::uint64_t largeAllocs =
+      loadAndLintAllocations(compileArtifact(large), largeClean);
+  EXPECT_TRUE(smallClean);
+  EXPECT_TRUE(largeClean);
+  EXPECT_EQ(largeAllocs, smallAllocs);
 }
 
 // ---------------------------------------------------------------------------
@@ -531,10 +622,9 @@ TEST(LintReportTest, StableCodeNames) {
                "mass-not-conserved");
   EXPECT_STREQ(lintCodeName(LintCode::DanglingSegmentRef),
                "dangling-segment-ref");
-  EXPECT_STREQ(lintCodeName(LintCode::TrieUnsortedChildren),
-               "trie-unsorted-children");
-  EXPECT_STREQ(lintCodeName(LintCode::TrieIndexOutOfRange),
-               "trie-index-out-of-range");
+  EXPECT_STREQ(lintCodeName(LintCode::WordNotInTrie), "word-not-in-trie");
+  EXPECT_STREQ(lintCodeName(LintCode::CountInconsistency),
+               "count-inconsistency");
   EXPECT_STREQ(lintSeverityName(LintSeverity::Error), "error");
 }
 

@@ -23,6 +23,12 @@ namespace test_tamper {
 
 using Bytes = std::vector<std::byte>;
 
+inline std::uint32_t readU32(const Bytes& b, std::size_t off) {
+  std::uint32_t v;
+  std::memcpy(&v, b.data() + off, 4);
+  return v;
+}
+
 inline std::uint64_t readU64(const Bytes& b, std::size_t off) {
   std::uint64_t v;
   std::memcpy(&v, b.data() + off, 8);

@@ -110,6 +110,7 @@ FuzzyPsm randomGrammar(Rng& rng) {
 using test_tamper::expectRejected;
 using test_tamper::expectRejectedAs;
 using test_tamper::kPrelude;
+using test_tamper::readU32;
 using test_tamper::readU64;
 using test_tamper::repairChecksums;
 using test_tamper::writeU32;
@@ -303,6 +304,48 @@ TEST(ArtifactCorruption, EdgeTargetPointingAtRoot) {
   writeU32(b, targetsOff, 0);  // a cycle through the root
   repairChecksums(b);
   expectRejectedAs(std::move(b), ArtifactErrorCode::OutOfRange, "root edge");
+}
+
+// The loader proves each trie is a tree (FlatTrieView::validate), so a
+// trie that is not one fails at load with OutOfRange, checksums repaired.
+// Offsets follow the BaseTrie payload: a 16-byte header, then edgeBegin[],
+// edgeMeta[] and edgeTargets[] as u32 arrays.
+TEST(ArtifactCorruption, EdgeTargetDuplicatingAnother) {
+  Bytes b = compileArtifact(smallGrammar());
+  const auto artifact = GrammarArtifact::fromBytes(b);
+  const std::size_t trieOff =
+      static_cast<std::size_t>(artifact->sections()[2].offset);
+  const std::size_t nodeCount = artifact->grammar().baseDictionary().nodeCount();
+  const std::size_t metaOff = trieOff + 16 + 4 * nodeCount;
+  const std::size_t targetsOff = trieOff + 16 + 8 * nodeCount;
+  ASSERT_GE(readU32(b, metaOff) & FlatTrieView::kEdgeCountMask, 2u);
+  // The root's second edge now leads where its first does: that child has
+  // two parents and the second one none. Every target still follows its
+  // source and the labels keep their order.
+  writeU32(b, targetsOff + 4, readU32(b, targetsOff));
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::OutOfRange,
+                   "duplicated edge target");
+}
+
+TEST(ArtifactCorruption, EdgeTargetPointingBackward) {
+  Bytes b = compileArtifact(smallGrammar());
+  const auto artifact = GrammarArtifact::fromBytes(b);
+  const std::size_t trieOff =
+      static_cast<std::size_t>(artifact->sections()[2].offset);
+  const FlatTrieView& trie = artifact->grammar().baseDictionary();
+  const std::size_t nodeCount = trie.nodeCount();
+  // "p" -> "pa" -> "pas": the edge out of "pa" is rewritten to lead back to
+  // "p", an earlier non-root node — a cycle the root walk would enter.
+  const auto p = trie.child(FlatTrieView::kRoot, 'p');
+  ASSERT_TRUE(p.has_value());
+  const auto pa = trie.child(*p, 'a');
+  ASSERT_TRUE(pa.has_value());
+  const std::uint32_t edge = readU32(b, trieOff + 16 + 4 * *pa);
+  writeU32(b, trieOff + 16 + 8 * nodeCount + 4 * edge, *p);
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::OutOfRange,
+                   "backward edge target");
 }
 
 TEST(ArtifactCorruption, UnknownConfigFlagBits) {

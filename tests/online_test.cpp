@@ -675,6 +675,57 @@ TEST(OnlineUpdater, GateRunsOncePerServedGeneration) {
   EXPECT_EQ(*calls, 5u) << "one gate per resume of a clean log";
 }
 
+// A cold load explains itself: resume() records the log open once and the
+// artifact open and gate once per candidate it walks.
+TEST(OnlineUpdater, ResumeRecordsOneSpanPerStagePerCandidate) {
+  const std::string dir = scratchDir("resumespans");
+  {
+    FuzzyPsm seed = fixtureBase();
+    seed.train(fixtureDataset("online_corpus.txt"));
+    auto updater = OnlineUpdater::bootstrap(seed, dir);
+  }
+  const auto samples = [] {
+    const auto snap = obs::snapshot();
+    return std::vector<std::uint64_t>{
+        snap.histogram(obs::Histo::OnlineResumeLogOpen).count,
+        snap.histogram(obs::Histo::OnlineResumeArtifactOpen).count,
+        snap.histogram(obs::Histo::OnlineResumeGate).count};
+  };
+  const std::uint64_t on = FPSM_METRICS_ENABLED ? 1 : 0;
+  const auto delta = [&](const std::vector<std::uint64_t>& before) {
+    const auto after = samples();
+    return std::vector<std::uint64_t>{after[0] - before[0],
+                                      after[1] - before[1],
+                                      after[2] - before[2]};
+  };
+
+  // A clean one-generation log: one sample per stage.
+  auto before = samples();
+  auto resumed = OnlineUpdater::resume(dir);
+  EXPECT_EQ(delta(before), (std::vector<std::uint64_t>{on, on, on}));
+
+  // Publish generation 2, then resume under a policy that rejects the
+  // first candidate it sees: the walk opens and gates both generations.
+  resumed->accept("dragon123", 2);
+  ASSERT_TRUE(resumed->compactNow().published);
+  resumed.reset();
+  OnlineUpdaterConfig cfg;
+  auto candidates = std::make_shared<int>(0);
+  cfg.publishGate = [candidates](const FlatGrammarView& grammar) {
+    if ((*candidates)++ == 0) rejectEveryCandidate(grammar);
+  };
+  RecoveryReport report;
+  before = samples();
+  resumed = OnlineUpdater::resume(dir, cfg, &report);
+  ASSERT_EQ(report.skipped.size(), 1u) << report.render();
+  EXPECT_EQ(report.skipped[0].reason, RecoverySkipReason::LintRejected);
+  EXPECT_EQ(resumed->stats().lastSequence, 1u);
+  EXPECT_EQ(delta(before), (std::vector<std::uint64_t>{on, 2 * on, 2 * on}));
+  if (!FPSM_METRICS_ENABLED) {
+    EXPECT_EQ(samples(), (std::vector<std::uint64_t>{0, 0, 0}));
+  }
+}
+
 // -------------------------------------- the online-vs-batch determinism core
 
 TEST(OnlineUpdater, OnlineRunMatchesBatchRetrainByteIdentically) {

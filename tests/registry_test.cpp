@@ -20,7 +20,9 @@
 //     another thread evicts and reloads the same tenants always get
 //     bit-exact scores from one consistent snapshot;
 //   * the accept boundary — an update whose count exceeds 2^32 throws,
-//     publishes nothing and is not counted as routed traffic.
+//     publishes nothing and is not counted as routed traffic;
+//   * the registration gate — addTenant runs the trust gate before the
+//     append, so a rejected grammar leaves no directory and no id taken.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,8 +34,10 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "online/online_updater.h"
@@ -157,6 +161,52 @@ TEST(GrammarRegistryTest, AddTenantValidatesAndRejectsDuplicates) {
   EXPECT_FALSE(fs::exists(cfg.rootDir + "/junk"));
 
   EXPECT_EQ(registry.tenantIds(), std::vector<std::string>{"acme"});
+}
+
+// addTenant runs OnlineUpdater's trust gate before the append, so a
+// grammar the gate rejects never becomes a tenant whose cold loads fail.
+TEST(GrammarRegistryTest, AddTenantRunsTheTrustGateBeforeTheAppend) {
+  GrammarRegistryConfig cfg;
+  cfg.rootDir = scratchDir("addgate");
+  GrammarRegistry registry(cfg);
+
+  // A dangling B77 B77 structure survives compilation and byte validation;
+  // only the lint rejects it.
+  FuzzyPsm bad = tenantGrammar(0);
+  GrammarCounts dangling;
+  dangling.addParse(FuzzyParse{{}, "B77B77"}, 2, false);
+  bad.absorbCounts(dangling);
+  try {
+    registry.addTenant("acme", bad);
+    FAIL() << "expected GrammarLintError";
+  } catch (const GrammarLintError& e) {
+    EXPECT_TRUE(e.report().has(LintCode::DanglingSegmentRef))
+        << e.report().render();
+  }
+  EXPECT_FALSE(fs::exists(cfg.rootDir + "/acme"));
+  EXPECT_TRUE(registry.tenantIds().empty());
+
+  // The id is still free: a clean grammar registers under it and serves.
+  const auto bytes = tenantArtifact(0);
+  registry.addTenant("acme", bytes.data(), bytes.size());
+  EXPECT_EQ(registry.tenantIds(), std::vector<std::string>{"acme"});
+  EXPECT_EQ(registry.score("acme", "woaini1314").bits,
+            standaloneService(bytes)->score("woaini1314").bits);
+
+  // The tenant config's acceptance policy is part of the gate.
+  GrammarRegistryConfig strictCfg;
+  strictCfg.rootDir = scratchDir("addgate_policy");
+  strictCfg.tenantConfig.publishGate = [](const FlatGrammarView&) {
+    LintReport report;
+    report.add(LintCode::MassNotConserved, LintSeverity::Error, "policy",
+               "rejected by test acceptance policy");
+    throw GrammarLintError(std::move(report));
+  };
+  GrammarRegistry strict(strictCfg);
+  EXPECT_THROW(strict.addTenant("acme", bytes.data(), bytes.size()),
+               GrammarLintError);
+  EXPECT_FALSE(fs::exists(strictCfg.rootDir + "/acme"));
+  EXPECT_TRUE(strict.tenantIds().empty());
 }
 
 TEST(GrammarRegistryTest, UnknownTenantThrowsTypedErrorAndCounts) {

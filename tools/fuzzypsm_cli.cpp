@@ -115,8 +115,9 @@
 //            [--grammar GRAMMAR] [--budget BYTES] [--json]
 //       Operate a multi-tenant registry rooted at DIR (one subdirectory =
 //       one tenant's generation log, src/registry). `add` registers a new
-//       tenant whose generation 1 is the bytes of GRAMMAR, then cold-loads
-//       it through the registry to prove it serves. `evict` loads then
+//       tenant whose generation 1 is the bytes of GRAMMAR — refused, with
+//       nothing written, if they do not load or the grammar lint rejects
+//       them — then cold-loads it through the registry to prove it serves. `evict` loads then
 //       evicts one tenant, flushing pending updates to its log (exit 1 if
 //       the tenant was pinned or compacting). `list` and `stats` render the
 //       per-tenant table and aggregate counters.
@@ -242,7 +243,8 @@ FuzzyPsm loadGrammar(const Args& args) {
 }
 
 /// The bytes of a grammar file, for GrammarRegistry::addTenant, which
-/// validates them as an artifact before anything touches disk.
+/// loads them as an artifact and runs the trust gate on them before
+/// anything touches disk.
 std::vector<char> readGrammarBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open grammar: " + path);
