@@ -61,6 +61,9 @@ class GrammarArtifact {
   const std::vector<ArtifactSectionInfo>& sections() const {
     return sections_;
   }
+  /// The validated file bytes (sizeBytes() of them); sections() locates
+  /// each payload in them. Valid for the artifact's lifetime.
+  const std::byte* data() const { return data_; }
   std::uint64_t sizeBytes() const { return size_; }
   std::uint32_t formatVersion() const { return version_; }
   bool memoryMapped() const { return map_.valid(); }
@@ -82,16 +85,27 @@ class GrammarArtifact {
 
 /// Builds the .fpsmb bytes of a grammar from its constituent parts:
 /// config, base dictionary (word list + tries), and a GrammarCounts bundle.
-/// This is the primitive every compile path funnels through —
-/// compileArtifact passes a FuzzyPsm's state, and `fuzzypsm train` and
-/// OnlineUpdater's compaction pass merged counts directly. Deterministic:
-/// the artifact is a pure function of the arguments (entries are emitted
-/// in canonical lexicographic order), so counts assembled from any shard
-/// partitioning compile byte-identically.
+/// compileArtifact passes a FuzzyPsm's state, and `fuzzypsm train` passes
+/// the trainer's counts directly. Deterministic: the artifact is a pure
+/// function of the arguments (entries are emitted in canonical
+/// lexicographic order), so counts assembled from any shard partitioning
+/// compile byte-identically.
 std::vector<std::byte> writeArtifact(const FuzzyConfig& config,
                                      const std::vector<std::string>& baseWords,
                                      const Trie& trie, const Trie& reversedTrie,
                                      const GrammarCounts& counts);
+
+/// Builds the next generation of `base`: its Config fields and its
+/// BaseWords, BaseTrie and ReverseTrie payloads byte for byte, and every
+/// count of `base` plus `delta` (OnlineUpdater's compaction). Each table is
+/// the sorted merge of the base table with the delta's, so nothing is
+/// rebuilt or re-sorted but the delta. `delta` must have been counted
+/// against `base`'s dictionary and config. The bytes equal the five-argument
+/// writer's over the merged counts; both share one count path, which treats
+/// that writer's counts as a delta over an empty grammar. Throws
+/// InvalidArgument when a sum overflows 64 bits.
+std::vector<std::byte> writeArtifact(const GrammarArtifact& base,
+                                     const GrammarCounts& delta);
 
 /// Compiles a trained grammar into .fpsmb bytes. Deterministic: the same
 /// grammar (same insertion/training sequence) produces identical bytes.

@@ -150,27 +150,6 @@ double FuzzyPsm::log2Prob(std::string_view pw) const {
   return derivationLog2Prob(parse(pw));
 }
 
-void FuzzyPsm::log2ProbBatch(const std::string_view* pws, std::size_t n,
-                             double* out) const {
-  if (!trained()) throw NotTrained("FuzzyPsm: not trained");
-  const FuzzyParser parser(trie_, config_, &reversedTrie_);
-  ParseScratch scratch;
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.prepare(pws[i]);
-    if (!scratch.valid()) {
-      out[i] = -kInfiniteBits;
-      continue;
-    }
-    out[i] = derivationLog2Prob(parser.parse(pws[i], scratch));
-  }
-}
-
-void FuzzyPsm::strengthBitsBatch(const std::string_view* pws, std::size_t n,
-                                 double* out) const {
-  log2ProbBatch(pws, n, out);
-  for (std::size_t i = 0; i < n; ++i) out[i] = -out[i];
-}
-
 std::string FuzzyPsm::sample(Rng& rng) const {
   if (!trained()) throw NotTrained("FuzzyPsm: not trained");
   // Sample a derivation, render it, and accept only when the rendered

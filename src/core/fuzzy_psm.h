@@ -26,14 +26,17 @@
 // FuzzyPsm is a scoring facade: the base dictionary (tries + word list)
 // lives here, while all mutable counting state is a GrammarCounts value
 // (src/core/grammar_counts.h) so training can run sharded across threads
-// (src/train/sharded_trainer.h) and fold back in with absorbCounts().
+// (src/train/sharded_trainer.h, which parses a flat copy of the tries) and
+// fold back in with absorbCounts(). A served grammar is an .fpsmb artifact,
+// never a FuzzyPsm: the serving and online-update layers hold none. The
+// pointer tries here parse only for FuzzyPsm's own scoring — the eval
+// harness, the CLI's measure/explain/guesses, and the tests' oracle.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/fuzzy_parse.h"
@@ -71,12 +74,6 @@ class FuzzyPsm : public ProbabilisticModel {
   /// to stay meaningful; counts themselves merge unconditionally.
   void absorbCounts(const GrammarCounts& delta) { counts_.merge(delta); }
 
-  /// Replaces the counting state wholesale — for a caller that already
-  /// holds the merged result (OnlineUpdater adopts the counts it just
-  /// published instead of merging the same delta again). Same caveat as
-  /// absorbCounts: the counts must come from this dictionary and config.
-  void setCounts(GrammarCounts counts) { counts_ = std::move(counts); }
-
   // Meter / ProbabilisticModel interface.
   std::string name() const override { return "fuzzyPSM"; }
   double log2Prob(std::string_view pw) const override;
@@ -88,17 +85,6 @@ class FuzzyPsm : public ProbabilisticModel {
   /// Canonical parse of pw under the current base dictionary (diagnostics,
   /// tests, and the worked Fig. 11 example).
   FuzzyParse parse(std::string_view pw) const;
-
-  // --- batch scoring ------------------------------------------------------
-  /// Scores n passwords in one call; out[i] is bit-identical to
-  /// log2Prob(pws[i]). Shares one parser and one SIMD-kernel-backed
-  /// ParseScratch across the batch (see FlatGrammarView::log2ProbBatch,
-  /// the artifact twin of this method). Invalid passwords score -inf.
-  void log2ProbBatch(const std::string_view* pws, std::size_t n,
-                     double* out) const;
-  /// strengthBits() over a batch: the exact negation of log2ProbBatch.
-  void strengthBitsBatch(const std::string_view* pws, std::size_t n,
-                         double* out) const;
 
   // --- grammar introspection (Tables IV-VI, the artifact writer, tests) --
   const FuzzyConfig& config() const { return config_; }

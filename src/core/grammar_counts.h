@@ -55,7 +55,7 @@ class GrammarCounts {
   /// for any sequence of merges over a fixed multiset of shards, the
   /// resulting counts are identical (see header comment). Throws
   /// InvalidArgument when a count would overflow; the bundle is then partly
-  /// merged and must be discarded (OnlineUpdater merges into a copy).
+  /// merged and must be discarded.
   void merge(const GrammarCounts& other);
 
   /// True when no password has been counted.

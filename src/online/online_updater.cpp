@@ -6,6 +6,7 @@
 #include "artifact/artifact.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
+#include "train/sharded_trainer.h"
 #include "util/chars.h"
 #include "util/error.h"
 #include "util/hash.h"
@@ -32,9 +33,8 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::bootstrap(
   gate(config, GrammarArtifact::fromBytes(bytes)->grammar());
   const std::uint64_t seq = log.append(bytes.data(), bytes.size());
   auto artifact = GrammarArtifact::open(log.pathFor(seq));
-  return std::unique_ptr<OnlineUpdater>(
-      new OnlineUpdater(std::move(log), trained, nullptr, std::move(artifact),
-                        seq, std::move(config)));
+  return std::unique_ptr<OnlineUpdater>(new OnlineUpdater(
+      std::move(log), std::move(artifact), seq, std::move(config)));
 }
 
 std::unique_ptr<OnlineUpdater> OnlineUpdater::resume(
@@ -70,30 +70,22 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::resume(
       continue;
     }
     const std::uint64_t seq = it->sequence;
-    // Defer the FuzzyPsm materialization: the service scores the zero-copy
-    // artifact directly, and the cumulative counts are rebuilt from the
-    // same artifact only when the first compaction needs them. This keeps
-    // resume() — the GrammarRegistry's cold-load path — at mmap cost.
-    return std::unique_ptr<OnlineUpdater>(
-        new OnlineUpdater(std::move(log), FuzzyPsm(), artifact, artifact,
-                          seq, std::move(config)));
+    return std::unique_ptr<OnlineUpdater>(new OnlineUpdater(
+        std::move(log), std::move(artifact), seq, std::move(config)));
   }
   throw GenerationLogError(
       GenerationLogErrorCode::NoSuchSequence,
       "OnlineUpdater: no servable generation in " + directory);
 }
 
-OnlineUpdater::OnlineUpdater(GenerationLog log, FuzzyPsm base,
-                             std::shared_ptr<const GrammarArtifact> deferredBase,
+OnlineUpdater::OnlineUpdater(GenerationLog log,
                              std::shared_ptr<const GrammarArtifact> served,
                              std::uint64_t servedSequence,
                              OnlineUpdaterConfig config)
     : config_(std::move(config)),
       log_(std::move(log)),
-      base_(std::move(base)),
-      baseArtifact_(std::move(deferredBase)),
-      service_(std::move(served), config_.serviceConfig),
-      shards_(config_.deltaShards == 0 ? 1 : config_.deltaShards) {
+      served_(served),
+      service_(std::move(served), config_.serviceConfig) {
   lastSequence_.store(servedSequence, std::memory_order_relaxed);
 }
 
@@ -125,12 +117,6 @@ void OnlineUpdater::accept(std::string_view pw, std::uint64_t n) {
                 static_cast<std::int64_t>(pending));
 }
 
-void OnlineUpdater::materializeBaseLocked() {
-  if (!baseArtifact_) return;
-  base_ = FuzzyPsm::fromArtifact(*baseArtifact_);
-  baseArtifact_.reset();
-}
-
 OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
   const MutexLock lock(compactionMutex_);
   CompactionResult res;
@@ -159,38 +145,27 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
   compactions_.fetch_add(1, std::memory_order_relaxed);
   obs::count(obs::Counter::OnlineCompactions);
 
-  // A deferred-base updater (resume / registry cold load) pays the
-  // one-time materialization here, at the first compaction that actually
-  // needs cumulative counts — never on the serve or cold-load path.
-  materializeBaseLocked();
-
-  // Parse the batch into a delta and merge it into a COPY of the
-  // cumulative counts. base_ itself is only advanced after the gates pass,
-  // so a rollback needs no undo. The train span covers both: parse-side
-  // detail is broken out by the train.* histograms one layer down.
-  obs::StageTimer trainSpan(obs::Histo::OnlineCompactTrain);
+  // Count the batch against the served artifact's dictionary, then write
+  // the next generation as that artifact plus the delta. served_ itself is
+  // only replaced after the gates pass, so a rollback needs no undo. The
+  // parse-side detail is broken out by the train.* histograms one layer
+  // down.
   TrainOptions topts;
   topts.threads = config_.compactionThreads;
-  GrammarCounts merged;
+  obs::StageTimer trainSpan(obs::Histo::OnlineCompactTrain);
   try {
     const GrammarCounts delta =
-        ShardedTrainer(base_, topts).countEntries(entries);
-    merged = base_.counts();
-    merged.merge(delta);
+        ShardedTrainer(served_->grammar(), topts).countEntries(entries);
+    trainSpan.stop();
+    obs::StageTimer writeSpan(obs::Histo::OnlineCompactWrite);
+    const std::vector<std::byte> bytes = writeArtifact(*served_, delta);
+    res.sequence = log_.append(bytes.data(), bytes.size());
   } catch (const InvalidArgument& e) {
     // A count that would overflow 64 bits is rejected like a gate failure,
     // one step earlier: nothing reaches the log.
     rollBack(res, e.what());
     return res;
   }
-  trainSpan.stop();
-
-  obs::StageTimer writeSpan(obs::Histo::OnlineCompactWrite);
-  const std::vector<std::byte> bytes =
-      writeArtifact(base_.config(), base_.baseWords(), base_.baseDictionary(),
-                    base_.reversedDictionary(), merged);
-  res.sequence = log_.append(bytes.data(), bytes.size());
-  writeSpan.stop();
 
   try {
     // Gate 1: byte-level validation, through the same loader a restart
@@ -205,11 +180,9 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
     // Gate 3: the RCU flip. TenantMeter serves what it is handed, so
     // readers never observe a grammar that failed either gate.
     obs::StageTimer publishSpan(obs::Histo::OnlineCompactPublish);
-    res.generation = service_.publishFromArtifact(std::move(artifact));
+    res.generation = service_.publishFromArtifact(artifact);
     res.published = true;
-    // The published generation IS the merged counts: adopt them rather
-    // than merging the delta into base_ a second time.
-    base_.setCounts(std::move(merged));
+    served_ = std::move(artifact);
     published_.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::Counter::OnlinePublished);
     lastSequence_.store(res.sequence, std::memory_order_relaxed);
@@ -221,7 +194,7 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
 }
 
 void OnlineUpdater::rollBack(CompactionResult& res, std::string rejection) {
-  // Cumulative counts untouched, previous snapshot keeps serving. The
+  // Served artifact untouched, previous snapshot keeps serving. The
   // drained occurrences are dropped, not re-queued — a batch that
   // deterministically produces a rejected grammar would wedge the loop.
   rollbacks_.fetch_add(1, std::memory_order_relaxed);

@@ -9,30 +9,30 @@
 // fans out through util/parallel.h and joins before compactNow() returns).
 //
 //   accept()     validates the password and its count and appends it to
-//                one of deltaShards UpdateQueues, picked by password hash.
+//                one of kDeltaShards UpdateQueues, picked by password hash.
 //                The serve path never blocks on compaction: shard queues
 //                are independent mutexes, and concurrent readers score the
 //                current RCU snapshot untouched.
 //   compactNow() drains every shard, parses the combined batch into a
-//                GrammarCounts delta with ShardedTrainer (same parallel
-//                pipeline as batch training), merges the delta into a COPY
-//                of the cumulative counts (adopted as the cumulative counts
-//                once it publishes, so each delta is merged once),
-//                serializes the merged grammar with the canonical artifact
-//                writer, appends it to the GenerationLog, and only then
-//                gates + publishes:
+//                GrammarCounts delta with ShardedTrainer against the served
+//                artifact's flat dictionary (same parallel pipeline as
+//                batch training), writes the next generation as that
+//                artifact's config and dictionary sections, byte for byte,
+//                plus its count tables merged with the delta
+//                (writeArtifact(base, delta)), appends it to the
+//                GenerationLog, and only then gates + publishes:
 //
 //                   gate 1  GrammarArtifact::open — byte-level validation
 //                   gate 2  the trust gate — GrammarValidator lint with the
 //                           default LintOptions, then publishGate
 //                   gate 3  TenantMeter::publishFromArtifact — RCU flip
 //
-//                Any gate failure rolls back: the cumulative counts were
-//                never touched (the merge happened on a copy), the bad
+//                Any gate failure rolls back: the served artifact, the
+//                tenant's only cumulative state, was never touched, the bad
 //                generation stays quarantined in the log (never served,
 //                sequence retired), and readers keep scoring the previous
-//                snapshot with no serving gap. A merge that would overflow
-//                a 64-bit count rolls back the same way before the append,
+//                snapshot with no serving gap. A sum that would overflow a
+//                64-bit count rolls back the same way before the append,
 //                so nothing reaches the log. The drained occurrences are
 //                counted as quarantined rather than re-queued — replaying
 //                a batch that deterministically produces a rejected
@@ -61,37 +61,39 @@
 // then S is byte-identical to a one-shot batch retrain over C + S, at any
 // thread count and any compaction cadence.
 //
+// State: the newest published artifact is the only cumulative state a
+// tenant has — it is what readers score, what the next compaction counts
+// against and merges into, and what resume() maps back in. Nothing is
+// materialized from it, so a resume costs the same before the first
+// compaction as after it.
+//
 // Restart durability: resume() walks the log from the newest generation
-// backwards, serving the first one that passes all gates, and rebuilds
-// the cumulative counts from it. Updates accepted after the served
+// backwards and serves the first one that passes all gates; its artifact
+// is the cumulative state from then on. Updates accepted after the served
 // generation's compaction are lost on crash or destruction — the queue is
 // volatile by design (bounded loss); the log bounds the loss to one
 // compaction interval, which the caller's compactNow() cadence sets.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "online/generation_log.h"
 #include "serve/tenant_meter.h"
 #include "serve/update_queue.h"
-#include "train/sharded_trainer.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace fpsm {
 
 struct OnlineUpdaterConfig {
-  /// Accept-path sharding: accepted passwords hash-partition over this
-  /// many independent UpdateQueues so concurrent accept() calls rarely
-  /// contend on one mutex. Must be >= 1.
-  std::size_t deltaShards = 16;
   /// Threads for the compaction parse (ShardedTrainer); 0 = auto.
   unsigned compactionThreads = 0;
   /// Optional acceptance policy, run by the trust gate after the lint on
@@ -134,10 +136,11 @@ class OnlineUpdater {
 
   /// Starts a fresh log at `directory` from a trained grammar: compiles it,
   /// runs the trust gate on the compiled image, commits it as generation 1
-  /// and serves it artifact-backed. Throws InvalidArgument if the log
-  /// already has generations (use resume()), NotTrained on an untrained
-  /// grammar, and the gate's error (GrammarLintError for a lint failure)
-  /// on rejection — a rejected grammar never reaches the log.
+  /// and serves the committed artifact; `trained` is not referenced
+  /// afterwards. Throws InvalidArgument if the log already has generations
+  /// (use resume()), NotTrained on an untrained grammar, and the gate's
+  /// error (GrammarLintError for a lint failure) on rejection — a rejected
+  /// grammar never reaches the log.
   static std::unique_ptr<OnlineUpdater> bootstrap(
       const FuzzyPsm& trained, const std::string& directory,
       OnlineUpdaterConfig config = {});
@@ -200,39 +203,35 @@ class OnlineUpdater {
   Stats stats() const FPSM_NO_CAPABILITY;
 
  private:
+  /// Accept-path sharding: accepted passwords hash-partition over this
+  /// many independent UpdateQueues so concurrent accept() calls rarely
+  /// contend on one mutex.
+  static constexpr std::size_t kDeltaShards = 16;
+
   /// Serves `served` (the artifact of log sequence `servedSequence`).
-  OnlineUpdater(GenerationLog log, FuzzyPsm base,
-                std::shared_ptr<const GrammarArtifact> deferredBase,
+  OnlineUpdater(GenerationLog log,
                 std::shared_ptr<const GrammarArtifact> served,
                 std::uint64_t servedSequence, OnlineUpdaterConfig config);
 
-  /// Pays the one-time FuzzyPsm materialization for a deferred-base
-  /// updater (see baseArtifact_). No-op once base_ is live.
-  void materializeBaseLocked() FPSM_REQUIRES(compactionMutex_);
   /// Counts a rejected compaction (rollbacks, quarantined occurrences) and
   /// records why in `res`.
   void rollBack(CompactionResult& res, std::string rejection);
 
   const OnlineUpdaterConfig config_;  // immutable after construction
 
-  // Cumulative state, all advanced atomically per compaction under
-  // compactionMutex_: log_ is the durable artifact sequence and base_ the
-  // dictionary plus every count that has ever been published.
+  // Cumulative state, advanced together per compaction under
+  // compactionMutex_: log_ is the durable artifact sequence and served_
+  // its newest published generation — the dictionary plus every count
+  // that has ever been published.
   mutable Mutex compactionMutex_;
   GenerationLog log_ FPSM_GUARDED_BY(compactionMutex_);
-  FuzzyPsm base_ FPSM_GUARDED_BY(compactionMutex_);
-  // resume() defers the expensive FuzzyPsm::fromArtifact rebuild: until the
-  // first compaction needs cumulative counts, the base stays this zero-copy
-  // artifact and base_ is empty. That keeps a registry cold-load (which is
-  // a resume()) at mmap cost, not materialization cost.
-  std::shared_ptr<const GrammarArtifact> baseArtifact_
-      FPSM_GUARDED_BY(compactionMutex_) FPSM_PT_GUARDED_BY(compactionMutex_);
+  std::shared_ptr<const GrammarArtifact> served_
+      FPSM_GUARDED_BY(compactionMutex_);
 
   TenantMeter service_;  // internally synchronized
 
-  // Accept path. Sized at construction, never resized (UpdateQueue is
-  // immovable and internally locked).
-  std::vector<UpdateQueue> shards_;
+  // Accept path (UpdateQueue is immovable and internally locked).
+  std::array<UpdateQueue, kDeltaShards> shards_;
 
   // Counters (relaxed; monitoring only).
   std::atomic<std::uint64_t> accepted_{0};

@@ -24,10 +24,10 @@
 //                registry mutex and cold-loads the unit via the tenant's
 //                own OnlineUpdater::resume() — walk the GenerationLog
 //                newest-first, serve the first generation that passes
-//                every gate, zero-copy mmap. Since PR 10 resume defers
-//                the FuzzyPsm materialization to the first compaction,
-//                so a cold load costs an mmap plus log recovery, not a
-//                grammar rebuild.
+//                every gate, zero-copy mmap. The mapped artifact is the
+//                unit's whole grammar state, for serving and compaction
+//                alike, so a cold load costs an mmap plus log recovery
+//                and no compaction ever rebuilds the grammar.
 //   eviction     when residentBytesBudget is set, finishing a cold load
 //                scans the table for the least-recently-touched tenant
 //                that is neither pinned nor busy (compaction in flight)

@@ -9,8 +9,20 @@
 
 namespace fpsm {
 
+ShardedTrainer::ShardedTrainer(const FlatGrammarView& base,
+                               TrainOptions options)
+    : trie_(base.baseDictionary()),
+      reversedTrie_(base.reversedDictionary()),
+      config_(base.config()),
+      options_(options) {}
+
 ShardedTrainer::ShardedTrainer(const FuzzyPsm& base, TrainOptions options)
-    : base_(base), options_(options) {}
+    : ownedTrie_(FlatTrie::fromTrie(base.baseDictionary())),
+      ownedReversedTrie_(FlatTrie::fromTrie(base.reversedDictionary())),
+      trie_(ownedTrie_.view()),
+      reversedTrie_(ownedReversedTrie_.view()),
+      config_(base.config()),
+      options_(options) {}
 
 void ShardedTrainer::countInto(const std::vector<Dataset::Entry>& entries,
                                GrammarCounts& into) const {
@@ -19,7 +31,7 @@ void ShardedTrainer::countInto(const std::vector<Dataset::Entry>& entries,
   obs::count(obs::Counter::TrainChunks);
   obs::count(obs::Counter::TrainEntries, n);
   const unsigned workers = parallelWorkerCount(n, options_.threads);
-  const bool countReverse = base_.config().matchReverse;
+  const bool countReverse = config_.matchReverse;
 
   std::vector<GrammarCounts> shards(workers);
   // Stage spans bracket the two halves of the pipeline — the parallel
@@ -28,7 +40,7 @@ void ShardedTrainer::countInto(const std::vector<Dataset::Entry>& entries,
   obs::StageTimer parseSpan(obs::Histo::TrainShardParse);
   // One task per worker, each over a contiguous slice: a worker builds its
   // shard with a single parser instance and no synchronization. The shared
-  // tries are only read (Trie lookups are const with no mutable caches),
+  // flat tries are only read (lookups are const with no mutable caches),
   // so this is data-race-free — tests/train_test.cpp runs it under tsan.
   const std::size_t chunk = (n + workers - 1) / workers;
   parallelFor(
@@ -37,8 +49,8 @@ void ShardedTrainer::countInto(const std::vector<Dataset::Entry>& entries,
         const std::size_t lo = w * chunk;
         const std::size_t hi = std::min(n, lo + chunk);
         if (lo >= hi) return;
-        FuzzyParser parser(base_.baseDictionary(), base_.config(),
-                           &base_.reversedDictionary());
+        const BasicFuzzyParser<FlatTrieView> parser(trie_, config_,
+                                                    &reversedTrie_);
         GrammarCounts& shard = shards[w];
         for (std::size_t i = lo; i < hi; ++i) {
           const Dataset::Entry& e = entries[i];
@@ -53,7 +65,7 @@ void ShardedTrainer::countInto(const std::vector<Dataset::Entry>& entries,
     const GrammarValidator validator;
     for (const GrammarCounts& shard : shards) {
       if (shard.empty()) continue;
-      LintReport report = validator.lint(shard, base_.config());
+      LintReport report = validator.lint(shard, config_);
       if (!report.ok()) throw GrammarLintError(std::move(report));
     }
   }
@@ -89,12 +101,6 @@ GrammarCounts ShardedTrainer::countStream(DatasetReader& reader) const {
     countInto(chunk, counts);
   }
   return counts;
-}
-
-FuzzyPsm ShardedTrainer::train(const Dataset& training) const {
-  FuzzyPsm trained = base_;
-  trained.absorbCounts(countDataset(training));
-  return trained;
 }
 
 }  // namespace fpsm

@@ -7,17 +7,24 @@
 // counting is addition — so training parallelizes embarrassingly:
 //
 //   1. partition the entry list into contiguous slices, one per worker;
-//   2. each worker parses its slice against the *shared* base trie
-//      (Trie reads are const and touch no mutable caches) into a
-//      thread-local GrammarCounts shard;
+//   2. each worker parses its slice against the *shared* flat base
+//      dictionary (FlatTrieView reads are const and touch no mutable
+//      caches) into a thread-local GrammarCounts shard;
 //   3. merge the shards. GrammarCounts::merge is commutative and
 //      associative, so any partitioning yields the same counts — and since
 //      the artifact writer orders entries canonically, the same bytes.
 //
+// The trainer parses one way, through BasicFuzzyParser<FlatTrieView>. It
+// borrows the tries of a FlatGrammarView (OnlineUpdater counts a batch
+// against the served artifact's dictionary), or flattens a FuzzyPsm's two
+// pointer tries once at construction (`fuzzypsm train`). A flat trie keeps
+// the pointer trie's node ids, so both parse identically.
+//
 // Determinism contract (tests/train_test.cpp): for a fixed base dictionary,
 // config, and entry multiset, the merged counts — and therefore the .fpsmb
-// artifact — are byte-identical across thread counts, chunk sizes, and
-// entry order, and identical to sequential FuzzyPsm::train.
+// artifact — are byte-identical across thread counts, chunk sizes, entry
+// order and the two constructors, and identical to sequential
+// FuzzyPsm::train.
 //
 // In debug builds (and sanitizer builds, which keep assertions on) each
 // shard is linted pre-merge with the GrammarCounts overload of
@@ -26,7 +33,7 @@
 //
 // Concurrency contract: deliberately lock-free, so there is nothing here
 // for the `tsa` build (DESIGN.md §13) to annotate. Workers share only
-// immutable state (the base trie, the config) and write only thread-local
+// immutable state (the base tries, the config) and write only thread-local
 // shards; the merge runs after parallelFor's join, which is the sole
 // synchronization point. Adding a mutex to this file would be a design
 // regression — fpsm_lint would flag it (raw primitives are confined to
@@ -37,9 +44,11 @@
 #include <string>
 #include <vector>
 
+#include "artifact/flat_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
 #include "corpus/dataset_reader.h"
+#include "trie/flat_trie.h"
 
 namespace fpsm {
 
@@ -62,11 +71,20 @@ struct TrainOptions {
 
 class ShardedTrainer {
  public:
-  /// Counts against `base`'s dictionary and config. The base grammar is
-  /// borrowed and must outlive the trainer; it is never mutated — callers
-  /// decide what to do with the produced counts (absorbCounts, artifact
-  /// compilation, a serving-layer delta).
+  /// Counts against `base`'s dictionary and config. The view (and the
+  /// artifact it reads) is borrowed and must outlive the trainer.
+  explicit ShardedTrainer(const FlatGrammarView& base,
+                          TrainOptions options = {});
+
+  /// Counts against `base`'s dictionary and config, flattening its two
+  /// tries once here; `base` is not referenced afterwards. Callers decide
+  /// what to do with the produced counts (absorbCounts, artifact
+  /// compilation).
   explicit ShardedTrainer(const FuzzyPsm& base, TrainOptions options = {});
+
+  // The views may point into this object's own flat tries.
+  ShardedTrainer(const ShardedTrainer&) = delete;
+  ShardedTrainer& operator=(const ShardedTrainer&) = delete;
 
   /// Parses `entries` into a merged counts bundle.
   GrammarCounts countEntries(const std::vector<Dataset::Entry>& entries) const;
@@ -79,11 +97,6 @@ class ShardedTrainer {
   /// worker, independent of corpus size.
   GrammarCounts countStream(DatasetReader& reader) const;
 
-  /// Convenience: countDataset folded into the base grammar's clone —
-  /// i.e. what `FuzzyPsm::train(training)` would have produced, computed
-  /// sharded. Returns the trained copy.
-  FuzzyPsm train(const Dataset& training) const;
-
   const TrainOptions& options() const { return options_; }
 
  private:
@@ -93,7 +106,12 @@ class ShardedTrainer {
   void countInto(const std::vector<Dataset::Entry>& entries,
                  GrammarCounts& into) const;
 
-  const FuzzyPsm& base_;
+  // A FuzzyPsm's tries, flattened; empty when the trainer borrows a view.
+  FlatTrie ownedTrie_;
+  FlatTrie ownedReversedTrie_;
+  FlatTrieView trie_;
+  FlatTrieView reversedTrie_;
+  FuzzyConfig config_;
   TrainOptions options_;
 };
 

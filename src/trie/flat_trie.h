@@ -97,8 +97,9 @@ class FlatTrieView {
   std::uint64_t wordCount_ = 0;
 };
 
-/// Owning flat trie: the compile target of a pointer Trie and the source
-/// the artifact writer serializes.
+/// Owning flat trie: the compile target of a pointer Trie, the source the
+/// artifact writer serializes, and what the trainer parses a FuzzyPsm's
+/// dictionary through.
 class FlatTrie {
  public:
   /// Compiles `t` preserving node ids (deterministic: same insertion

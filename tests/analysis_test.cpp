@@ -19,17 +19,16 @@
 // (bootstrap, resume), while TenantMeter serves what it is handed.
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
 #include "artifact_tamper.h"
@@ -42,30 +41,6 @@
 #include "trie/trie.h"
 #include "util/check.h"
 #include "util/rng.h"
-
-// Heap allocations made on the calling thread, counted by replacing the
-// global operator new of this test binary (the technique of the bench
-// suite's alloc_count.cpp). The array, nothrow and sized forms of
-// libstdc++ forward to these, so every unaligned allocation is counted and
-// freed by the matching pair. GCC inlines these into callers in this file
-// and then reads malloc/free under operator new/delete as a mismatch; the
-// pair is consistent, so that warning is silenced for these lines only.
-namespace {
-thread_local std::uint64_t tAllocations = 0;
-}  // namespace
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  ++tAllocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace fpsm {
 namespace {
@@ -364,12 +339,12 @@ FuzzyPsm makeSizedPsm(std::size_t words, std::size_t suffixes,
 /// view; `clean` reports whether the lint came back clean.
 std::uint64_t loadAndLintAllocations(std::vector<std::byte> bytes,
                                      bool& clean) {
-  const std::uint64_t before = tAllocations;
+  const std::uint64_t before = test_alloc::allocations();
   {
     const auto artifact = GrammarArtifact::fromBytes(std::move(bytes));
     clean = GrammarValidator().lint(artifact->grammar()).clean();
   }
-  return tAllocations - before;
+  return test_alloc::allocations() - before;
 }
 
 TEST(GrammarLintTest, CleanLoadAndLintAllocationsDoNotGrowWithTheGrammar) {

@@ -8,6 +8,9 @@
 //     artifact are bit-identical to the grammar they were compiled from;
 //   * round-trip properties — compile -> read -> compile is byte-identical,
 //     so the artifact carries every count and the base-word order;
+//   * the base + delta writer — a generation written from the served
+//     artifact and a delta equals the five-argument writer's bytes over the
+//     merged counts, and every sum it makes is checked;
 //   * a golden fixture pinning the on-disk encoding across refactors.
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "artifact/artifact.h"
@@ -25,6 +29,7 @@
 #include "trie/flat_trie.h"
 #include "trie/trie.h"
 #include "util/chars.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace fpsm {
@@ -487,6 +492,111 @@ TEST(ArtifactRoundTrip, BinaryRoundTripIsByteIdentical) {
     const FuzzyPsm back = FuzzyPsm::fromArtifact(*artifact);
     EXPECT_EQ(compileArtifact(back), first) << "seed " << seed;
   }
+}
+
+// ------------------------------------------------ the base + delta writer
+
+using Batch = std::vector<std::pair<const char*, std::uint64_t>>;
+
+/// The delta of folding each (password, n) into `base`: every password
+/// parsed against `base`'s dictionary, as a compaction counts a batch.
+GrammarCounts deltaOf(const FuzzyPsm& base, const Batch& batch) {
+  GrammarCounts delta;
+  for (const auto& [pw, n] : batch) {
+    delta.addParse(base.parse(pw), n, base.config().matchReverse);
+  }
+  return delta;
+}
+
+/// The five-argument writer over `base`'s counts merged with `delta`.
+Bytes fullWrite(const FuzzyPsm& base, const GrammarCounts& delta) {
+  GrammarCounts merged = base.counts();
+  merged.merge(delta);
+  return writeArtifact(base.config(), base.baseWords(), base.baseDictionary(),
+                       base.reversedDictionary(), merged);
+}
+
+/// A base whose tables every delta below lands in, in front of, behind,
+/// or beside: B6 {dragon, monkey}, B8 {password}, B1 {!, 1}, B2 {99}, and
+/// the structures B6B1, B6B2, B8B1.
+FuzzyPsm mergeBase(bool reverse) {
+  FuzzyConfig cfg;
+  cfg.matchReverse = reverse;
+  FuzzyPsm psm(cfg);
+  for (const char* w : {"password", "dragon", "monkey"}) psm.addBaseWord(w);
+  psm.update("password1", 5);
+  psm.update("Dr@gon99", 2);
+  psm.update("monkey!", 3);
+  return psm;
+}
+
+TEST(ArtifactWriter, BasePlusDeltaEqualsFullWriteOfMergedCounts) {
+  struct Case {
+    const char* name;
+    Batch batch;
+  };
+  const Case cases[] = {
+      // Forms only in the base beside forms in both: B2, B6, B1 "!" and
+      // two structures are untouched; B8 "password", B1 "1" and structure
+      // B8B1 gain counts.
+      {"base-only and shared forms", {{"password1", 2}}},
+      // Forms only in the delta at both ends: in B6, "aaaaaa" sorts before
+      // the first base entry and "zzzzzz" after the last. Structure B6
+      // sorts before B6B1, so every base structure is left once the
+      // delta's one is written.
+      {"delta-only forms at both ends", {{"aaaaaa", 1}, {"zzzzzz", 4}}},
+      // Lengths the base lacks (B3, B9) beside base lengths the delta
+      // lacks (B1, B2, B6, B8); structure B9 sorts after B8B1, the last
+      // base structure.
+      {"new and untouched lengths", {{"abc", 3}, {"qqqqqqqqq", 1}}},
+      // Everything at once, with transformations and a reversed word.
+      {"mixed",
+       {{"Password1", 1}, {"m0nkey!", 2}, {"nogard", 1}, {"xyz123", 5}}},
+  };
+  for (const bool reverse : {false, true}) {
+    const FuzzyPsm base = mergeBase(reverse);
+    const auto served = GrammarArtifact::fromBytes(compileArtifact(base));
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + (reverse ? ", reverse" : ""));
+      const GrammarCounts delta = deltaOf(base, c.batch);
+      EXPECT_EQ(writeArtifact(*served, delta), fullWrite(base, delta));
+    }
+  }
+}
+
+TEST(ArtifactWriter, EmptyDeltaReturnsTheBaseBytes) {
+  for (const bool reverse : {false, true}) {
+    const Bytes bytes = compileArtifact(mergeBase(reverse));
+    EXPECT_EQ(writeArtifact(*GrammarArtifact::fromBytes(bytes), {}), bytes);
+  }
+  const Bytes small = compileArtifact(smallGrammar());
+  EXPECT_EQ(writeArtifact(*GrammarArtifact::fromBytes(small), {}), small);
+}
+
+// Every sum is checked. "qwerty" is one B6 segment counted 2^63 times, so
+// the base's structure total, its B6 entry and total, and its
+// capitalization total each sit at 2^63 and load clean.
+TEST(ArtifactWriter, OverflowingDeltaThrows) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  FuzzyPsm base;
+  base.update("qwerty", kHalf);
+  const auto served = GrammarArtifact::fromBytes(compileArtifact(base));
+  // An entry: B6 "qwerty" and structure B6 reach 2^64.
+  EXPECT_THROW((void)writeArtifact(*served, deltaOf(base, {{"qwerty", kHalf}})),
+               InvalidArgument);
+  // A table total: structure B7 is new, but the structure total reaches
+  // 2^64.
+  EXPECT_THROW(
+      (void)writeArtifact(*served, deltaOf(base, {{"abcdefg", kHalf}})),
+      InvalidArgument);
+  // A Config counter: two new segments (B3, B4) counted 2^62 times leave
+  // every table below 2^64 but add 2^63 to the capitalization total.
+  EXPECT_THROW((void)writeArtifact(
+                   *served, deltaOf(base, {{"abc1234", kHalf / 2}})),
+               InvalidArgument);
+  // Just below every limit, the merge goes through.
+  EXPECT_NO_THROW(
+      (void)writeArtifact(*served, deltaOf(base, {{"qwerty", kHalf - 1}})));
 }
 
 // ------------------------------------------------------------- golden fixture

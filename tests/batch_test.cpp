@@ -15,7 +15,7 @@
 //      instead of per-byte predicates (ParseScratch tables are checked
 //      against the chars.h ground truth directly).
 //
-// End to end: FlatGrammarView / FuzzyPsm batch scores over a 10k-password
+// End to end: FlatGrammarView batch scores over a 10k-password
 // corpus equal the scalar scores at batch sizes {1, 7, 64, 4096}, and
 // MeterService::scoreBatch equals score() through cache hits, cache
 // misses, a disabled cache, and concurrent publishFromArtifact rollovers
@@ -298,10 +298,10 @@ TEST(ParseScratchTest, ReuseAcrossShrinkingPasswordsStaysExact) {
 
 // ----------------------------------------------- grammar batch differential
 
-/// Runs view-or-grammar batch scoring over the corpus at one batch size
-/// and asserts bitwise equality with the scalar reference.
-template <typename Scorer>
-void checkBatchAgainstReference(const Scorer& scorer, std::size_t batchSize) {
+/// Runs the view's batch scoring over the corpus at one batch size and
+/// asserts bitwise equality with the scalar reference.
+void checkBatchAgainstReference(const FlatGrammarView& view,
+                                std::size_t batchSize) {
   SCOPED_TRACE("batchSize=" + std::to_string(batchSize));
   const auto& corpus = corpus10k();
   const auto& ref = scalarReferenceBits();
@@ -309,7 +309,7 @@ void checkBatchAgainstReference(const Scorer& scorer, std::size_t batchSize) {
   std::vector<double> got(corpus.size());
   for (std::size_t lo = 0; lo < corpus.size(); lo += batchSize) {
     const std::size_t n = std::min(batchSize, corpus.size() - lo);
-    scorer.strengthBitsBatch(views.data() + lo, n, got.data() + lo);
+    view.strengthBitsBatch(views.data() + lo, n, got.data() + lo);
   }
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     ASSERT_EQ(bitsOf(got[i]), bitsOf(ref[i]))
@@ -323,15 +323,6 @@ TEST(BatchDifferentialTest, FlatViewBatchMatchesScalarBitForBit) {
   for (const std::size_t batchSize : {std::size_t{1}, std::size_t{7},
                                       std::size_t{64}, std::size_t{4096}}) {
     checkBatchAgainstReference(view, batchSize);
-  }
-}
-
-TEST(BatchDifferentialTest, OwnedGrammarBatchMatchesScalarBitForBit) {
-  const FuzzyPsm& psm = trainedGrammar();
-  // The owned grammar's scalar path must itself agree with the flat view
-  // (the artifact differential contract), so one reference serves both.
-  for (const std::size_t batchSize : {std::size_t{7}, std::size_t{4096}}) {
-    checkBatchAgainstReference(psm, batchSize);
   }
 }
 

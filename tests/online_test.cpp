@@ -10,7 +10,7 @@
 //     typed RecoveryReport, and damage recovery cannot explain throws;
 //   * the online-vs-batch contract — an online run over stream S after
 //     corpus C emits a final .fpsmb byte-identical to a one-shot batch
-//     retrain over C+S, across thread counts and shard counts;
+//     retrain over C+S, across thread counts and compaction cadences;
 //   * a golden digest of that final artifact, committed as a fixture, so
 //     the whole pipeline (parse, merge, canonical serialization, log
 //     framing) cannot drift silently;
@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
 #include "artifact/checksum.h"
@@ -47,6 +48,7 @@
 #include "online/generation_log.h"
 #include "online/online_updater.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace fs = std::filesystem;
 
@@ -736,25 +738,22 @@ TEST(OnlineUpdater, OnlineRunMatchesBatchRetrainByteIdentically) {
   batch.train(all);
   const Bytes expected = compileArtifact(batch);
 
-  // Online runs: same corpus then streamed S, across thread counts, shard
-  // counts, and compaction cadences. Every final artifact must be
-  // byte-identical to the oracle.
+  // Online runs: same corpus then streamed S, across thread counts and
+  // compaction cadences. Every final artifact must be byte-identical to
+  // the oracle.
   struct Variant {
     unsigned threads;
-    std::size_t shards;
     std::size_t chunk;
   };
-  for (const Variant v : {Variant{1, 1, 4}, Variant{1, 16, 3},
-                          Variant{4, 4, 1}, Variant{4, 16, 5}}) {
+  for (const Variant v :
+       {Variant{1, 4}, Variant{1, 3}, Variant{4, 1}, Variant{4, 5}}) {
     SCOPED_TRACE("threads=" + std::to_string(v.threads) +
-                 " shards=" + std::to_string(v.shards) +
                  " chunk=" + std::to_string(v.chunk));
     const std::string dir = scratchDir("equiv");
     FuzzyPsm seed = fixtureBase();
     seed.train(fixtureDataset("online_corpus.txt"));
     OnlineUpdaterConfig cfg;
     cfg.compactionThreads = v.threads;
-    cfg.deltaShards = v.shards;
     auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
     const std::uint64_t lastSeq = driveFixtureStream(*updater, v.chunk);
     ASSERT_GT(lastSeq, 1u);
@@ -773,13 +772,12 @@ TEST(OnlineUpdater, OnlineRunMatchesBatchRetrainByteIdentically) {
 }
 
 TEST(OnlineUpdater, GoldenFinalArtifactDigestIsPinned) {
-  // Canonical run: threads 1, 4 shards, compact every 3 stream entries.
+  // Canonical run: threads 1, compact every 3 stream entries.
   const std::string dir = scratchDir("golden");
   FuzzyPsm seed = fixtureBase();
   seed.train(fixtureDataset("online_corpus.txt"));
   OnlineUpdaterConfig cfg;
   cfg.compactionThreads = 1;
-  cfg.deltaShards = 4;
   auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
   const std::uint64_t lastSeq = driveFixtureStream(*updater, 3);
   const std::string digest =
@@ -795,6 +793,62 @@ TEST(OnlineUpdater, GoldenFinalArtifactDigestIsPinned) {
   EXPECT_EQ(digest, expected)
       << "the end-to-end online pipeline changed its output encoding; if "
          "intentional, re-pin tests/data/online_golden.digest";
+}
+
+// ------------------------------------------------- compaction work (counts)
+
+/// A trained grammar over `words` distinct pseudo-random 6..12-letter base
+/// words, each trained once with a one- or two-digit suffix, so every word
+/// is its own B_n table entry.
+FuzzyPsm sizedGrammar(std::size_t words) {
+  Rng rng(7);
+  FuzzyPsm psm;
+  while (psm.baseWords().size() < words) {
+    std::string word(6 + rng.below(7), 'a');
+    for (char& c : word) c = static_cast<char>('a' + rng.below(26));
+    psm.addBaseWord(word);
+  }
+  for (const std::string& word : psm.baseWords()) {
+    psm.update(word + std::to_string(rng.below(100)));
+  }
+  return psm;
+}
+
+// A compaction counts its batch against the served artifact and merges the
+// delta into the artifact's tables, so what it allocates follows the batch,
+// not the grammar: the first compaction after a resume rebuilds nothing,
+// and no compaction copies the cumulative counts. Allocation counts are
+// exact, so the gate holds on any machine.
+TEST(OnlineUpdater, CompactionAllocationsFollowTheBatchNotTheGrammar) {
+  const std::string dir = scratchDir("allocs");
+  const FuzzyPsm seed = sizedGrammar(12000);
+  const std::size_t baseWords = seed.baseWords().size();
+  std::size_t tableEntries = seed.structures().distinct();
+  for (const std::size_t len : seed.segmentLengths()) {
+    tableEntries += seed.segmentTable(len)->distinct();
+  }
+  ASSERT_GE(baseWords, 10000u);
+  ASSERT_GE(tableEntries, 10000u);
+  (void)OnlineUpdater::bootstrap(seed, dir);
+
+  OnlineUpdaterConfig cfg;
+  cfg.compactionThreads = 1;  // the parse runs on this thread and is counted
+  auto updater = OnlineUpdater::resume(dir, cfg);
+  const auto compactionAllocations = [&] {
+    for (const char* pw : {"dragon123", "Password1!", "zqxjkv99", "monkey"}) {
+      updater->accept(pw, 3);
+    }
+    const std::uint64_t before = test_alloc::allocations();
+    const auto result = updater->compactNow();
+    const std::uint64_t allocations = test_alloc::allocations() - before;
+    EXPECT_TRUE(result.published) << result.rejection;
+    return allocations;
+  };
+  const std::uint64_t first = compactionAllocations();
+  const std::uint64_t second = compactionAllocations();
+  EXPECT_LT(first, baseWords / 10);
+  EXPECT_LT(second, baseWords / 10);
+  EXPECT_LE(first, second) << "the first compaction pays no extra set-up";
 }
 
 // ----------------------------------------------- OnlineUpdater: durability
@@ -988,9 +1042,7 @@ TEST(OnlineUpdater, DriftStressAdaptsMonotonicallyUnderConcurrentReaders) {
   corpus.add("monkey!", 10);
   seed.train(corpus);
 
-  OnlineUpdaterConfig cfg;
-  cfg.deltaShards = 8;
-  auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
+  auto updater = OnlineUpdater::bootstrap(seed, dir);
 
   const std::string drifted = "Dr@gon2026";  // reuse+modification family
   const std::vector<std::string> probes = {"password1", "123456", drifted,

@@ -5,7 +5,8 @@
 // pure function of (base dictionary, config, entry multiset), independent
 // of thread count, chunk size, and entry order, and identical to what
 // sequential FuzzyPsm::train computes. These tests pin every face of that
-// claim: byte-identical artifacts at 1/2/8 threads, merge commutativity /
+// claim: byte-identical artifacts at 1/2/8 threads and from either
+// constructor (an artifact's view or a FuzzyPsm), merge commutativity /
 // associativity (including a randomized partition property test), and
 // bit-for-bit score equality between sharded and sequential training.
 //
@@ -125,12 +126,36 @@ TEST(ShardedTrainer, ScoresBitForBitEqualToSequential) {
 
   TrainOptions options;
   options.threads = 8;
-  const FuzzyPsm sharded =
-      ShardedTrainer(base, options).train(toDataset(entries));
+  FuzzyPsm sharded = base;
+  sharded.absorbCounts(
+      ShardedTrainer(base, options).countDataset(toDataset(entries)));
 
   for (const auto pw : {"password1", "Dragon99", "xq31337#z", "iloveyou",
                         "Sunsh1ne!", "yeknom7", "zzzzzz"}) {
     EXPECT_EQ(sequential.log2Prob(pw), sharded.log2Prob(pw)) << pw;
+  }
+}
+
+// The trainer parses one way, through a flat dictionary: borrowing an
+// artifact's view and flattening a FuzzyPsm's pointer tries count alike.
+TEST(ShardedTrainer, ViewAndGrammarConstructorsCountIdentically) {
+  const auto entries = corpus(2000);
+  for (const bool reverse : {false, true}) {
+    FuzzyPsm base = makeBase(reverse);
+    base.train(toDataset(corpus(300, 5)));
+    const auto artifact = GrammarArtifact::fromBytes(compileArtifact(base));
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("reverse=" + std::to_string(reverse) +
+                   " threads=" + std::to_string(threads));
+      TrainOptions options;
+      options.threads = threads;
+      const GrammarCounts fromView =
+          ShardedTrainer(artifact->grammar(), options).countEntries(entries);
+      const GrammarCounts fromGrammar =
+          ShardedTrainer(base, options).countEntries(entries);
+      EXPECT_EQ(artifactBytes(base, fromView),
+                artifactBytes(base, fromGrammar));
+    }
   }
 }
 
