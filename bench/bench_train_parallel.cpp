@@ -109,8 +109,9 @@ std::vector<Dataset::Entry> synthesizeCorpus(std::size_t n) {
 
 std::vector<std::byte> artifactBytes(const FuzzyPsm& base,
                                      const GrammarCounts& counts) {
-  return writeArtifact(base.config(), base.baseWords(), base.baseDictionary(),
-                       base.reversedDictionary(), counts);
+  return writeArtifact(base.config(), base.baseWords(),
+                       FlatTrie::fromTrie(base.baseDictionary()),
+                       FlatTrie::fromTrie(base.reversedDictionary()), counts);
 }
 
 /// Per-run pipeline stage times, in milliseconds. read/parse/merge come
@@ -187,7 +188,6 @@ int main(int argc, char** argv) {
   for (const unsigned threads : threadCounts) {
     TrainOptions options;
     options.threads = threads;
-    options.lintShards = false;  // measure counting, not diagnostics
     const ShardedTrainer trainer(base, options);
 
     // Delta-free accounting: zero the registry, run, read the sums.

@@ -184,7 +184,7 @@ ConfigData parseConfig(Cursor c) {
   if ((flags & ~kArtifactKnownFlags) != 0) {
     fail(ArtifactErrorCode::BadSection, "Config: unknown flag bits");
   }
-  if (!(prior >= 0.0) || !(prior <= 1e9)) {  // also rejects NaN
+  if (!validTransformationPrior(prior)) {
     fail(ArtifactErrorCode::BadSection,
          "Config: transformationPrior out of range");
   }

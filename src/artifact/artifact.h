@@ -84,15 +84,16 @@ class GrammarArtifact {
 };
 
 /// Builds the .fpsmb bytes of a grammar from its constituent parts:
-/// config, base dictionary (word list + tries), and a GrammarCounts bundle.
-/// compileArtifact passes a FuzzyPsm's state, and `fuzzypsm train` passes
-/// the trainer's counts directly. Deterministic: the artifact is a pure
-/// function of the arguments (entries are emitted in canonical
-/// lexicographic order), so counts assembled from any shard partitioning
-/// compile byte-identically.
+/// config, base dictionary (word list + flat tries), and a GrammarCounts
+/// bundle. compileArtifact flattens a FuzzyPsm's state, and `fuzzypsm
+/// train` passes the tries it flattened for the trainer and the trainer's
+/// counts. Deterministic: the artifact is a pure function of the arguments
+/// (entries are emitted in canonical lexicographic order), so counts
+/// assembled from any shard partitioning compile byte-identically.
 std::vector<std::byte> writeArtifact(const FuzzyConfig& config,
                                      const std::vector<std::string>& baseWords,
-                                     const Trie& trie, const Trie& reversedTrie,
+                                     const FlatTrie& trie,
+                                     const FlatTrie& reversedTrie,
                                      const GrammarCounts& counts);
 
 /// Builds the next generation of `base`: its Config fields and its

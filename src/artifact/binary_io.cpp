@@ -111,8 +111,7 @@ void writeCountTable(Blob& out, const Entries& entries, std::uint64_t total) {
   }
 }
 
-void writeTrie(Blob& out, const Trie& trie) {
-  const FlatTrie flat = FlatTrie::fromTrie(trie);
+void writeTrie(Blob& out, const FlatTrie& flat) {
   // FlatTrie happens to index edges with u32 today, but the artifact's
   // width contract belongs to this boundary, not to FlatTrie internals.
   FPSM_CHECK(flat.edgeBegin().size() <= 0xffffffffull);
@@ -265,7 +264,8 @@ std::vector<std::byte> assemble(
 
 std::vector<std::byte> writeArtifact(const FuzzyConfig& config,
                                      const std::vector<std::string>& baseWords,
-                                     const Trie& trie, const Trie& reversedTrie,
+                                     const FlatTrie& trie,
+                                     const FlatTrie& reversedTrie,
                                      const GrammarCounts& counts) {
   // BaseWords, in insertion order: reloading replays the same addBaseWord
   // sequence, so the rebuilt tries — and a re-compiled artifact — are
@@ -312,8 +312,10 @@ std::vector<std::byte> writeArtifact(const GrammarArtifact& base,
 }
 
 std::vector<std::byte> compileArtifact(const FuzzyPsm& psm) {
-  return writeArtifact(psm.config(), psm.baseWords(), psm.baseDictionary(),
-                       psm.reversedDictionary(), psm.counts());
+  return writeArtifact(psm.config(), psm.baseWords(),
+                       FlatTrie::fromTrie(psm.baseDictionary()),
+                       FlatTrie::fromTrie(psm.reversedDictionary()),
+                       psm.counts());
 }
 
 FuzzyPsm FuzzyPsm::fromArtifact(const GrammarArtifact& artifact) {

@@ -73,8 +73,8 @@ BasicFuzzyParser<TrieT>::BasicFuzzyParser(const TrieT& trie,
   if (config_.minBaseWordLen == 0) {
     throw InvalidArgument("FuzzyParser: minBaseWordLen must be >= 1");
   }
-  if (config_.transformationPrior < 0.0) {
-    throw InvalidArgument("FuzzyParser: negative transformationPrior");
+  if (!validTransformationPrior(config_.transformationPrior)) {
+    throw InvalidArgument("FuzzyParser: transformationPrior outside [0, 1e9]");
   }
   if (config_.matchReverse && reversedTrie_ == nullptr) {
     throw InvalidArgument(

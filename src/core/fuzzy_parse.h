@@ -45,8 +45,17 @@ struct FuzzyConfig {
   /// Pseudo-count added to the yes and no sides of the capitalization and
   /// leet rules (0 = pure maximum likelihood as in the paper's examples;
   /// the default keeps rare transformations measurable on small corpora).
+  /// Must satisfy validTransformationPrior.
   double transformationPrior = 0.5;
 };
+
+/// The one bound on FuzzyConfig::transformationPrior: 0 <= prior <= 1e9,
+/// which NaN fails. The parser's constructor rejects a config outside it,
+/// and the artifact loader a Config section, so every probability derived
+/// from a prior and counts with yes <= total is finite and in [0,1].
+constexpr bool validTransformationPrior(double prior) {
+  return prior >= 0.0 && prior <= 1e9;
+}
 
 /// One leet decision site of a segment.
 struct LeetSite {

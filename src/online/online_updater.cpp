@@ -154,8 +154,11 @@ OnlineUpdater::CompactionResult OnlineUpdater::compactNow() {
   topts.threads = config_.compactionThreads;
   obs::StageTimer trainSpan(obs::Histo::OnlineCompactTrain);
   try {
+    const FlatGrammarView& grammar = served_->grammar();
     const GrammarCounts delta =
-        ShardedTrainer(served_->grammar(), topts).countEntries(entries);
+        ShardedTrainer(grammar.config(), grammar.baseDictionary(),
+                       grammar.reversedDictionary(), topts)
+            .countEntries(entries);
     trainSpan.stop();
     obs::StageTimer writeSpan(obs::Histo::OnlineCompactWrite);
     const std::vector<std::byte> bytes = writeArtifact(*served_, delta);

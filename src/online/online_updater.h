@@ -23,8 +23,8 @@
 //                GenerationLog, and only then gates + publishes:
 //
 //                   gate 1  GrammarArtifact::open — byte-level validation
-//                   gate 2  the trust gate — GrammarValidator lint with the
-//                           default LintOptions, then publishGate
+//                   gate 2  the trust gate — GrammarValidator's
+//                           cross-section lint, then publishGate
 //                   gate 3  TenantMeter::publishFromArtifact — RCU flip
 //
 //                Any gate failure rolls back: the served artifact, the
@@ -154,8 +154,8 @@ class OnlineUpdater {
       const std::string& directory, OnlineUpdaterConfig config = {},
       RecoveryReport* report = nullptr);
 
-  /// The trust gate: lints `grammar` with the default LintOptions, then
-  /// runs config.publishGate. Throws GrammarLintError (or whatever the
+  /// The trust gate: lints `grammar` (GrammarValidator), then runs
+  /// config.publishGate. Throws GrammarLintError (or whatever the
   /// policy throws) on rejection. Besides the updater's own paths,
   /// GrammarRegistry::addTenant runs it before a new tenant's generation 1
   /// reaches its log, under the tenant config resume() will gate with.

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 
-#include "analysis/grammar_lint.h"
 #include "obs/metrics.h"
 #include "obs/stage_timer.h"
 #include "util/parallel.h"
 
 namespace fpsm {
 
-ShardedTrainer::ShardedTrainer(const FlatGrammarView& base,
+ShardedTrainer::ShardedTrainer(const FuzzyConfig& config,
+                               const FlatTrieView& trie,
+                               const FlatTrieView& reversedTrie,
                                TrainOptions options)
-    : trie_(base.baseDictionary()),
-      reversedTrie_(base.reversedDictionary()),
-      config_(base.config()),
+    : trie_(trie),
+      reversedTrie_(reversedTrie),
+      config_(config),
       options_(options) {}
 
 ShardedTrainer::ShardedTrainer(const FuzzyPsm& base, TrainOptions options)
@@ -60,15 +61,6 @@ void ShardedTrainer::countInto(const std::vector<Dataset::Entry>& entries,
       },
       workers);
   parseSpan.stop();
-
-  if (options_.lintShards) {
-    const GrammarValidator validator;
-    for (const GrammarCounts& shard : shards) {
-      if (shard.empty()) continue;
-      LintReport report = validator.lint(shard, config_);
-      if (!report.ok()) throw GrammarLintError(std::move(report));
-    }
-  }
 
   // Merge in worker-index order. The order is irrelevant for the result
   // (merge is commutative/associative) but fixing it keeps the code path

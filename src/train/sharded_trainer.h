@@ -15,21 +15,17 @@
 //      the artifact writer orders entries canonically, the same bytes.
 //
 // The trainer parses one way, through BasicFuzzyParser<FlatTrieView>. It
-// borrows the tries of a FlatGrammarView (OnlineUpdater counts a batch
-// against the served artifact's dictionary), or flattens a FuzzyPsm's two
-// pointer tries once at construction (`fuzzypsm train`). A flat trie keeps
-// the pointer trie's node ids, so both parse identically.
+// borrows two flat tries — a FlatGrammarView's (OnlineUpdater counts a
+// batch against the served artifact's dictionary), or the ones `fuzzypsm
+// train` flattens once and hands on to the artifact writer — or flattens a
+// FuzzyPsm's two pointer tries at construction. A flat trie keeps the
+// pointer trie's node ids, so all three parse identically.
 //
 // Determinism contract (tests/train_test.cpp): for a fixed base dictionary,
 // config, and entry multiset, the merged counts — and therefore the .fpsmb
 // artifact — are byte-identical across thread counts, chunk sizes, entry
 // order and the two constructors, and identical to sequential
 // FuzzyPsm::train.
-//
-// In debug builds (and sanitizer builds, which keep assertions on) each
-// shard is linted pre-merge with the GrammarCounts overload of
-// GrammarValidator, pinning any counting defect to the worker that
-// produced it.
 //
 // Concurrency contract: deliberately lock-free, so there is nothing here
 // for the `tsa` build (DESIGN.md §13) to annotate. Workers share only
@@ -44,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "artifact/flat_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
 #include "corpus/dataset_reader.h"
@@ -60,21 +55,15 @@ struct TrainOptions {
   /// chunk is fully parsed (in parallel) before the next is read, bounding
   /// resident passwords to one chunk.
   std::size_t chunkEntries = std::size_t{1} << 16;
-  /// Lint every shard before merging; errors throw GrammarLintError.
-  /// Defaults on in debug/sanitizer builds, off with NDEBUG.
-#ifdef NDEBUG
-  bool lintShards = false;
-#else
-  bool lintShards = true;
-#endif
 };
 
 class ShardedTrainer {
  public:
-  /// Counts against `base`'s dictionary and config. The view (and the
-  /// artifact it reads) is borrowed and must outlive the trainer.
-  explicit ShardedTrainer(const FlatGrammarView& base,
-                          TrainOptions options = {});
+  /// Counts against the dictionary `trie` (and `reversedTrie`, read when
+  /// config.matchReverse) under `config`. The tries are borrowed and must
+  /// outlive the trainer.
+  ShardedTrainer(const FuzzyConfig& config, const FlatTrieView& trie,
+                 const FlatTrieView& reversedTrie, TrainOptions options = {});
 
   /// Counts against `base`'s dictionary and config, flattening its two
   /// tries once here; `base` is not referenced afterwards. Callers decide

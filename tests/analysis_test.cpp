@@ -1,27 +1,24 @@
 // GrammarValidator battery (ctest label: lint).
 //
-// Three corruption channels drive the tests, matching how a bad grammar can
-// actually reach production:
+// The lint audits only what spans sections; every defect within one
+// section is the loader's, and tests/artifact_test.cpp's corruption
+// battery pins each of those. Two corruption channels seed what the lint
+// owns, through artifacts that load:
 //   * counts tampering — a bare parse folded in with GrammarCounts::
 //     addParse + absorbCounts, bypassing the parser (the defect survives
-//     compilation and byte validation), or a counts bundle linted directly
-//     with lint(GrammarCounts, config) for defects the byte loader rejects;
+//     compilation and byte validation);
 //   * byte tampering — a compiled artifact edited in place, checksums
-//     repaired (tests/artifact_tamper.h), so the loader accepts it;
-//   * raw views — hand-built FlatTableViews fed to the granular lint
-//     entry points, for defects the byte loader would refuse to reproduce
-//     (mass drift, zero counts), and hand-built FlatTrieViews fed to the
-//     loader's own trie audit, FlatTrieView::validate() (unsorted or
-//     no-tree tries).
+//     repaired (tests/artifact_tamper.h), so the loader accepts it.
+// Hand-built FlatTrieViews exercise the loader's own trie audit,
+// FlatTrieView::validate() (unsorted or no-tree tries).
 //
 // Every seeded corruption asserts its exact LintCode, and the gate tests
 // prove a linted-bad artifact cannot reach readers through OnlineUpdater
-// (bootstrap, resume), while TenantMeter serves what it is handed.
-#include <cmath>
+// (bootstrap, resume, the gate itself), while TenantMeter serves what it
+// is handed.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -83,7 +80,7 @@ const LintDiagnostic* findCode(const LintReport& report, LintCode code) {
 }
 
 // ---------------------------------------------------------------------------
-// Clean grammars audit clean, across all three representations.
+// Clean grammars audit clean, with and without the reverse rule.
 // ---------------------------------------------------------------------------
 
 TEST(GrammarLintTest, TrainedGrammarIsClean) {
@@ -92,7 +89,6 @@ TEST(GrammarLintTest, TrainedGrammarIsClean) {
   EXPECT_TRUE(report.clean()) << report.render();
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.worst(), LintSeverity::Info);
-  EXPECT_TRUE(GrammarValidator().lint(psm.counts(), psm.config()).clean());
 }
 
 TEST(GrammarLintTest, CompiledArtifactIsClean) {
@@ -105,9 +101,7 @@ TEST(GrammarLintTest, CompiledArtifactIsClean) {
 TEST(GrammarLintTest, ReverseGrammarIsClean) {
   FuzzyConfig config;
   config.matchReverse = true;
-  const FuzzyPsm psm = makeTrainedPsm(config);
-  EXPECT_TRUE(GrammarValidator().lint(psm.counts(), psm.config()).clean());
-  EXPECT_TRUE(lintCompiled(psm).clean());
+  EXPECT_TRUE(lintCompiled(makeTrainedPsm(config)).clean());
 }
 
 TEST(GrammarLintTest, UntrainedGrammarWarnsNotTrained) {
@@ -117,84 +111,6 @@ TEST(GrammarLintTest, UntrainedGrammarWarnsNotTrained) {
   EXPECT_TRUE(report.has(LintCode::NotTrained));
   EXPECT_TRUE(report.ok());  // warning, not error
   EXPECT_EQ(report.worst(), LintSeverity::Warning);
-}
-
-// ---------------------------------------------------------------------------
-// Seeded corruption: raw count tables.
-// ---------------------------------------------------------------------------
-
-TEST(GrammarLintTest, MassNotConservedInRawTable) {
-  const std::uint64_t counts[] = {2, 3};
-  const std::uint32_t strOff[] = {0, 1};
-  const std::uint32_t strLen[] = {1, 1};
-  const char pool[] = "ab";
-  // Counts sum to 5 but the stored total claims 10: every probability
-  // computed from this table is off by 2x.
-  const FlatTableView table(counts, strOff, strLen, pool, 2, 10);
-  LintReport report;
-  GrammarValidator().lintCountTable("structures", table, 0, report);
-  const auto* d = findCode(report, LintCode::MassNotConserved);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->severity, LintSeverity::Error);
-  EXPECT_EQ(d->locus, "structures");
-  EXPECT_FALSE(report.ok());
-}
-
-TEST(GrammarLintTest, MassWithinToleranceAccepted) {
-  const std::uint64_t counts[] = {999999, 1};
-  const std::uint32_t strOff[] = {0, 1};
-  const std::uint32_t strLen[] = {1, 1};
-  const char pool[] = "ab";
-  const FlatTableView table(counts, strOff, strLen, pool, 2, 1000001);
-  LintOptions loose;
-  loose.massTolerance = 1e-5;  // deviation here is 1e-6
-  LintReport report;
-  GrammarValidator(loose).lintCountTable("structures", table, 0, report);
-  EXPECT_FALSE(report.has(LintCode::MassNotConserved)) << report.render();
-}
-
-TEST(GrammarLintTest, ZeroCountEntryInRawTable) {
-  const std::uint64_t counts[] = {0, 3};
-  const std::uint32_t strOff[] = {0, 1};
-  const std::uint32_t strLen[] = {1, 1};
-  const char pool[] = "ab";
-  const FlatTableView table(counts, strOff, strLen, pool, 2, 3);
-  LintReport report;
-  GrammarValidator().lintCountTable("segments[B1]", table, 1, report);
-  const auto* d = findCode(report, LintCode::ZeroCountEntry);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->severity, LintSeverity::Error);
-}
-
-TEST(GrammarLintTest, UnsortedRawTable) {
-  const std::uint64_t counts[] = {2, 3};
-  const std::uint32_t strOff[] = {0, 1};
-  const std::uint32_t strLen[] = {1, 1};
-  const char pool[] = "ba";  // forms "b", "a": descending
-  const FlatTableView table(counts, strOff, strLen, pool, 2, 5);
-  LintReport report;
-  GrammarValidator().lintCountTable("structures", table, 0, report);
-  EXPECT_TRUE(report.has(LintCode::TableUnsorted)) << report.render();
-}
-
-TEST(GrammarLintTest, SegmentLengthMismatchInRawTable) {
-  const std::uint64_t counts[] = {2};
-  const std::uint32_t strOff[] = {0};
-  const std::uint32_t strLen[] = {2};
-  const char pool[] = "ab";
-  const FlatTableView table(counts, strOff, strLen, pool, 1, 2);
-  LintReport report;
-  // A 2-character form in the B_3 table.
-  GrammarValidator().lintCountTable("segments[B3]", table, 3, report);
-  EXPECT_TRUE(report.has(LintCode::SegmentLengthMismatch))
-      << report.render();
-}
-
-TEST(GrammarLintTest, EmptyTableWithMass) {
-  const FlatTableView table(nullptr, nullptr, nullptr, nullptr, 0, 7);
-  LintReport report;
-  GrammarValidator().lintCountTable("structures", table, 0, report);
-  EXPECT_TRUE(report.has(LintCode::EmptyTable)) << report.render();
 }
 
 // ---------------------------------------------------------------------------
@@ -370,67 +286,15 @@ TEST(GrammarLintTest, CleanLoadAndLintAllocationsDoNotGrowWithTheGrammar) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded corruption: transformation rules.
-// ---------------------------------------------------------------------------
-
-TEST(GrammarLintTest, NanPriorIsNonFinite) {
-  LintReport report;
-  GrammarValidator().lintTransformRule(
-      "config.cap", 1, 2, std::numeric_limits<double>::quiet_NaN(), report);
-  const auto* d = findCode(report, LintCode::NonFiniteValue);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->severity, LintSeverity::Error);
-}
-
-TEST(GrammarLintTest, NegativePriorIsNegativeValue) {
-  LintReport report;
-  GrammarValidator().lintTransformRule("config.cap", 1, 2, -0.5, report);
-  EXPECT_TRUE(report.has(LintCode::NegativeValue)) << report.render();
-}
-
-TEST(GrammarLintTest, YesExceedingTotalIsProbOutOfRange) {
-  LintReport report;
-  GrammarValidator().lintTransformRule("config.cap", 5, 2, 0.5, report);
-  const auto* d = findCode(report, LintCode::ProbOutOfRange);
-  ASSERT_NE(d, nullptr) << report.render();
-  EXPECT_EQ(d->severity, LintSeverity::Error);
-  EXPECT_EQ(d->locus, "config.cap");
-}
-
-TEST(GrammarLintTest, NanPriorInLiveGrammar) {
-  FuzzyConfig config;
-  config.transformationPrior = std::numeric_limits<double>::quiet_NaN();
-  const FuzzyPsm psm = makeTrainedPsm(config);
-  const LintReport report = GrammarValidator().lint(psm.counts(), config);
-  EXPECT_TRUE(report.has(LintCode::NonFiniteValue)) << report.render();
-  EXPECT_FALSE(report.ok());
-}
-
-// ---------------------------------------------------------------------------
 // Seeded corruption: tampered counts and tampered artifact bytes.
 // ---------------------------------------------------------------------------
 
 TEST(GrammarLintTest, DanglingSegmentRefFromTamperedStructure) {
-  const FuzzyPsm psm = makeDanglingPsm();
-  for (const LintReport& report :
-       {GrammarValidator().lint(psm.counts(), psm.config()),
-        lintCompiled(psm)}) {
-    const auto* d = findCode(report, LintCode::DanglingSegmentRef);
-    ASSERT_NE(d, nullptr) << report.render();
-    EXPECT_EQ(d->severity, LintSeverity::Error);
-    EXPECT_EQ(d->locus, "structures[B9B9]");
-  }
-}
-
-TEST(GrammarLintTest, BadStructureKeyFromTamperedStructure) {
-  // The byte loader rejects a key that does not decode, so this defect is
-  // seeded into a counts bundle, as the sharded trainer's shard lint sees.
-  const FuzzyPsm psm = makeTrainedPsm();
-  GrammarCounts counts = psm.counts();
-  counts.addParse(FuzzyParse{{}, "Bx5"}, 2, false);
-  const LintReport report = GrammarValidator().lint(counts, psm.config());
-  EXPECT_TRUE(report.has(LintCode::BadStructureKey)) << report.render();
-  EXPECT_FALSE(report.ok());
+  const LintReport report = lintCompiled(makeDanglingPsm());
+  const auto* d = findCode(report, LintCode::DanglingSegmentRef);
+  ASSERT_NE(d, nullptr) << report.render();
+  EXPECT_EQ(d->severity, LintSeverity::Error);
+  EXPECT_EQ(d->locus, "structures[B9B9]");
 }
 
 TEST(GrammarLintTest, TamperedTrainedCountIsWarning) {
@@ -448,6 +312,72 @@ TEST(GrammarLintTest, TamperedTrainedCountIsWarning) {
   EXPECT_EQ(d->severity, LintSeverity::Warning);
   EXPECT_TRUE(report.ok());  // warnings do not block publish
   EXPECT_EQ(report.worst(), LintSeverity::Warning);
+}
+
+// A base word the tries cannot reach: the word pool and the tries are
+// separate sections, each of which loads on its own. Base word 0 is the
+// first one the lint probes.
+
+/// Repairs the checksums of `bytes`, loads them, and expects the lint to
+/// report WordNotInTrie at "baseWords[0]" and the gate to reject them.
+void expectWordNotInTrie(test_tamper::Bytes bytes) {
+  test_tamper::repairChecksums(bytes);
+  const auto artifact = GrammarArtifact::fromBytes(std::move(bytes));
+  const LintReport report = GrammarValidator().lint(artifact->grammar());
+  const auto* d = findCode(report, LintCode::WordNotInTrie);
+  ASSERT_NE(d, nullptr) << report.render();
+  EXPECT_EQ(d->severity, LintSeverity::Error);
+  EXPECT_EQ(d->locus, "baseWords[0]");
+  try {
+    OnlineUpdater::gate(OnlineUpdaterConfig{}, artifact->grammar());
+    FAIL() << "expected GrammarLintError";
+  } catch (const GrammarLintError& e) {
+    EXPECT_TRUE(e.report().has(LintCode::WordNotInTrie));
+  }
+}
+
+TEST(GrammarLintTest, BaseWordMissingFromTheTrie) {
+  test_tamper::Bytes b = compileArtifact(makeTrainedPsm());
+  const auto artifact = GrammarArtifact::fromBytes(b);
+  ASSERT_EQ(artifact->grammar().baseWord(0), "password");
+  // The BaseWords payload is u64 count, u64 poolBytes, u32 off[count + 1],
+  // then the pool; word 0 starts the pool. "qassword" is printable, so the
+  // section loads, but the trie never stored it.
+  const std::size_t poolOff =
+      static_cast<std::size_t>(artifact->sections()[1].offset) + 16 +
+      4 * (artifact->grammar().baseWordCount() + 1);
+  ASSERT_EQ(b[poolOff], std::byte{'p'});
+  b[poolOff] = std::byte{'q'};
+  expectWordNotInTrie(std::move(b));
+}
+
+TEST(GrammarLintTest, BaseWordMissingFromTheReversedTrie) {
+  FuzzyConfig config;
+  config.matchReverse = true;
+  test_tamper::Bytes b = compileArtifact(makeTrainedPsm(config));
+  const auto artifact = GrammarArtifact::fromBytes(b);
+  ASSERT_EQ(artifact->grammar().baseWord(0), "password");
+  // "drowssap" is the only reversed word starting with 'd', so the edge
+  // 'd' -> 'r' is its node's only edge: relabelling it keeps the trie a
+  // tree with sorted labels, and the forward trie still holds "password".
+  // The ReverseTrie payload is u32 nodeCount, u32 edgeCount, u64
+  // wordCount, u32 edgeBegin[], u32 edgeMeta[], u32 edgeTargets[], then
+  // the labels.
+  const FlatTrieView& trie = artifact->grammar().reversedDictionary();
+  const auto d = trie.child(FlatTrieView::kRoot, 'd');
+  ASSERT_TRUE(d.has_value());
+  const std::size_t trieOff =
+      static_cast<std::size_t>(artifact->sections()[3].offset);
+  const std::size_t nodes = trie.nodeCount();
+  ASSERT_EQ(test_tamper::readU32(b, trieOff + 16 + 4 * nodes + 4 * *d) &
+                FlatTrieView::kEdgeCountMask,
+            1u);
+  const std::size_t edge = test_tamper::readU32(b, trieOff + 16 + 4 * *d);
+  const std::size_t labelOff =
+      trieOff + 16 + 8 * nodes + 4 * (nodes - 1) + edge;
+  ASSERT_EQ(b[labelOff], std::byte{'r'});
+  b[labelOff] = std::byte{'x'};
+  expectWordNotInTrie(std::move(b));
 }
 
 // ---------------------------------------------------------------------------
@@ -552,8 +482,8 @@ TEST_F(LintGateTest, PublishFromArtifactKeepsServingOnRejection) {
 
 TEST(LintReportTest, RenderAndJson) {
   LintReport report;
-  report.add(LintCode::MassNotConserved, LintSeverity::Error, "structures",
-             "sums to 5/10");
+  report.add(LintCode::DanglingSegmentRef, LintSeverity::Error,
+             "structures[B9B9]", "references B_9");
   report.add(LintCode::CountInconsistency, LintSeverity::Warning,
              "config.cap", "drift");
   EXPECT_EQ(report.errorCount(), 1u);
@@ -562,20 +492,20 @@ TEST(LintReportTest, RenderAndJson) {
   EXPECT_EQ(report.worst(), LintSeverity::Error);
 
   const std::string text = report.render();
-  EXPECT_NE(text.find("error [mass-not-conserved] structures"),
+  EXPECT_NE(text.find("error [dangling-segment-ref] structures[B9B9]"),
             std::string::npos);
   EXPECT_NE(text.find("1 error(s), 1 warning(s)"), std::string::npos);
 
   const std::string json = report.renderJson();
   EXPECT_NE(json.find("\"clean\": false"), std::string::npos);
   EXPECT_NE(json.find("\"worst\": \"error\""), std::string::npos);
-  EXPECT_NE(json.find("\"code\": \"mass-not-conserved\""),
+  EXPECT_NE(json.find("\"code\": \"dangling-segment-ref\""),
             std::string::npos);
 }
 
 TEST(LintReportTest, JsonEscapesControlCharacters) {
   LintReport report;
-  report.add(LintCode::BadStructureKey, LintSeverity::Error,
+  report.add(LintCode::DanglingSegmentRef, LintSeverity::Error,
              "structures[\"a\\b\tc]", "quote \" backslash \\");
   const std::string json = report.renderJson();
   EXPECT_NE(json.find("\\\""), std::string::npos);
@@ -593,13 +523,12 @@ TEST(LintReportTest, CleanReportJson) {
 
 TEST(LintReportTest, StableCodeNames) {
   // The CLI and CI grep for these identifiers; renames are breaking.
-  EXPECT_STREQ(lintCodeName(LintCode::MassNotConserved),
-               "mass-not-conserved");
   EXPECT_STREQ(lintCodeName(LintCode::DanglingSegmentRef),
                "dangling-segment-ref");
   EXPECT_STREQ(lintCodeName(LintCode::WordNotInTrie), "word-not-in-trie");
   EXPECT_STREQ(lintCodeName(LintCode::CountInconsistency),
                "count-inconsistency");
+  EXPECT_STREQ(lintCodeName(LintCode::NotTrained), "not-trained");
   EXPECT_STREQ(lintSeverityName(LintSeverity::Error), "error");
 }
 

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -399,6 +400,170 @@ TEST(ArtifactCorruption, StructureCountSumMismatch) {
                    "count sum");
 }
 
+// Every per-table and per-counter invariant is the loader's alone (the
+// grammar lint audits only what spans sections), so each one is pinned
+// here. Offsets follow the payloads in artifact/format.h. Config: u32
+// minLen, u32 flags, f64 prior, u64 capYes, capTotal, revYes, revTotal,
+// leetYes[6], leetTotal[6], trainedPasswords. A count table: u64 total,
+// u64 poolBytes, u64 counts[], u32 strOff[], u32 strLen[], then the pool,
+// after a u32 pair (Structures: distinct, reserved; each Segments table:
+// segLen, distinct).
+
+/// Byte offset of the Config section of `b`.
+std::size_t configOffset(const Bytes& b) {
+  return static_cast<std::size_t>(
+      GrammarArtifact::fromBytes(b)->sections()[0].offset);
+}
+
+/// Byte offset of the Structures table (its u32 distinct field).
+std::size_t structuresOffset(const Bytes& b) {
+  return static_cast<std::size_t>(
+      GrammarArtifact::fromBytes(b)->sections()[4].offset);
+}
+
+/// Byte offsets of the segment tables (each one's u32 segLen field).
+std::vector<std::size_t> segmentTableOffsets(const Bytes& b) {
+  const std::size_t sec = static_cast<std::size_t>(
+      GrammarArtifact::fromBytes(b)->sections()[5].offset);
+  std::vector<std::size_t> offsets;
+  std::size_t at = sec + 8;
+  for (std::uint32_t t = 0; t < readU32(b, sec); ++t) {
+    offsets.push_back(at);
+    const std::uint32_t distinct = readU32(b, at + 4);
+    at += 24 + 16 * std::size_t{distinct} +
+          static_cast<std::size_t>(readU64(b, at + 16));
+    at = (at + 7) & ~std::size_t{7};  // sections start 8-aligned
+  }
+  return offsets;
+}
+
+TEST(ArtifactCorruption, ZeroCountTableEntry) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::size_t table = structuresOffset(b);
+  // The total drops by the same amount, so only the zero count is wrong.
+  const std::uint64_t c0 = readU64(b, table + 24);
+  writeU64(b, table + 8, readU64(b, table + 8) - c0);
+  writeU64(b, table + 24, 0);
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection,
+                   "zero-count entry");
+}
+
+TEST(ArtifactCorruption, TableCountSumOverflows) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::size_t table = structuresOffset(b);
+  // counts[0] becomes 2^64 - 1 and the total what the wrapped sum would
+  // be, so only the overflow itself is wrong.
+  const std::uint64_t c0 = readU64(b, table + 24);
+  writeU64(b, table + 8, readU64(b, table + 8) - c0 - 1);
+  writeU64(b, table + 24, ~std::uint64_t{0});
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection,
+                   "count sum overflow");
+}
+
+TEST(ArtifactCorruption, SwappedTableForms) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::size_t table = structuresOffset(b);
+  const std::size_t distinct = readU32(b, table);
+  ASSERT_GE(distinct, 2u);
+  // Entries 0 and 1 trade their pool slices: every slice stays in the pool
+  // and the counts still sum to the total, but the forms now descend.
+  for (const std::size_t array : {table + 24 + 8 * distinct,
+                                  table + 24 + 12 * distinct}) {
+    const std::uint32_t first = readU32(b, array);
+    writeU32(b, array, readU32(b, array + 4));
+    writeU32(b, array + 4, first);
+  }
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection,
+                   "swapped forms");
+}
+
+TEST(ArtifactCorruption, SegmentFormOfWrongLength) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::size_t table = segmentTableOffsets(b).at(0);
+  const std::size_t distinct = readU32(b, table + 4);
+  ASSERT_GE(distinct, 2u);
+  // Entry 0's slice grows by one byte into entry 1's form: still inside
+  // the pool and still below entry 1, but no longer of the table's length.
+  const std::size_t lenOff = table + 24 + 12 * distinct;
+  ASSERT_EQ(readU32(b, lenOff), readU32(b, table));
+  writeU32(b, lenOff, readU32(b, table) + 1);
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection,
+                   "form of the wrong length");
+}
+
+TEST(ArtifactCorruption, SegmentLengthsNotIncreasing) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::vector<std::size_t> tables = segmentTableOffsets(b);
+  ASSERT_GE(tables.size(), 2u);
+  writeU32(b, tables[1], readU32(b, tables[0]));
+  repairChecksums(b);
+  // The second table's forms no longer have its length either, so the
+  // message pins which of the two checks rejected it.
+  try {
+    (void)GrammarArtifact::fromBytes(std::move(b));
+    FAIL() << "a repeated segment-table length loaded";
+  } catch (const ArtifactError& e) {
+    EXPECT_EQ(e.code(), ArtifactErrorCode::BadSection) << e.what();
+    EXPECT_NE(std::string(e.what()).find("not strictly increasing"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ArtifactCorruption, MalformedStructureKey) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::size_t table = structuresOffset(b);
+  const std::size_t distinct = readU32(b, table);
+  // The last key's last byte, a digit, becomes ':' (the byte after '9'),
+  // so the keys stay strictly ascending and only the key itself is wrong.
+  const std::size_t last = distinct - 1;
+  const std::size_t pool = table + 24 + 16 * distinct;
+  const std::size_t end = pool + readU32(b, table + 24 + 8 * distinct +
+                                                4 * last) +
+                          readU32(b, table + 24 + 12 * distinct + 4 * last);
+  ASSERT_TRUE(isDigit(static_cast<char>(b[end - 1])));
+  b[end - 1] = std::byte{':'};
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection,
+                   "malformed structure key");
+}
+
+TEST(ArtifactCorruption, PriorOutOfRange) {
+  for (const double prior :
+       {std::numeric_limits<double>::quiet_NaN(), -0.5,
+        std::numeric_limits<double>::infinity(), 2e9}) {
+    SCOPED_TRACE(prior);
+    Bytes b = compileArtifact(smallGrammar());
+    const std::size_t cfg = configOffset(b);
+    std::memcpy(b.data() + cfg + 8, &prior, 8);
+    repairChecksums(b);
+    expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection, "prior");
+  }
+}
+
+TEST(ArtifactCorruption, RevYesExceedsTotal) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::size_t cfg = configOffset(b);
+  writeU64(b, cfg + 32, readU64(b, cfg + 40) + 1);  // revYes > revTotal
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection,
+                   "revYes > revTotal");
+}
+
+TEST(ArtifactCorruption, LeetYesExceedsTotal) {
+  Bytes b = compileArtifact(smallGrammar());
+  const std::size_t cfg = configOffset(b);
+  // leetYes[0] > leetTotal[0]
+  writeU64(b, cfg + 48, readU64(b, cfg + 96) + 1);
+  repairChecksums(b);
+  expectRejectedAs(std::move(b), ArtifactErrorCode::BadSection,
+                   "leetYes > leetTotal");
+}
+
 // ------------------------------------------------------- trie differential
 
 TEST(ArtifactDifferential, FlatTrieMatchesPointerTrieOn10kWords) {
@@ -512,8 +677,9 @@ GrammarCounts deltaOf(const FuzzyPsm& base, const Batch& batch) {
 Bytes fullWrite(const FuzzyPsm& base, const GrammarCounts& delta) {
   GrammarCounts merged = base.counts();
   merged.merge(delta);
-  return writeArtifact(base.config(), base.baseWords(), base.baseDictionary(),
-                       base.reversedDictionary(), merged);
+  return writeArtifact(base.config(), base.baseWords(),
+                       FlatTrie::fromTrie(base.baseDictionary()),
+                       FlatTrie::fromTrie(base.reversedDictionary()), merged);
 }
 
 /// A base whose tables every delta below lands in, in front of, behind,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -455,6 +456,27 @@ TEST(FuzzyConfigTest, InvalidConfigRejected) {
   FuzzyConfig neg;
   neg.transformationPrior = -1.0;
   EXPECT_THROW(FuzzyPsm{neg}, InvalidArgument);
+}
+
+TEST(FuzzyConfigTest, PriorBoundMatchesTheArtifactLoader) {
+  // The parser and the loader share validTransformationPrior, so a config
+  // FuzzyPsm accepts always compiles to an artifact that loads.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e10}) {
+    FuzzyConfig cfg;
+    cfg.transformationPrior = bad;
+    EXPECT_THROW(FuzzyPsm{cfg}, InvalidArgument) << bad;
+  }
+  FuzzyConfig top;
+  top.transformationPrior = 1e9;
+  FuzzyPsm psm(top);
+  psm.addBaseWord("password");
+  psm.update("password1");
+  EXPECT_EQ(GrammarArtifact::fromBytes(compileArtifact(psm))
+                ->grammar()
+                .config()
+                .transformationPrior,
+            1e9);
 }
 
 }  // namespace

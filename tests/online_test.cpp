@@ -113,7 +113,7 @@ void appendRaw(const std::string& path, const std::string& data) {
 /// synthetic lint report.
 void rejectEveryCandidate(const FlatGrammarView&) {
   LintReport report;
-  report.add(LintCode::MassNotConserved, LintSeverity::Error, "policy",
+  report.add(LintCode::DanglingSegmentRef, LintSeverity::Error, "policy",
              "rejected by test acceptance gate");
   throw GrammarLintError(std::move(report));
 }

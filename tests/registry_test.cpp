@@ -198,7 +198,7 @@ TEST(GrammarRegistryTest, AddTenantRunsTheTrustGateBeforeTheAppend) {
   strictCfg.rootDir = scratchDir("addgate_policy");
   strictCfg.tenantConfig.publishGate = [](const FlatGrammarView&) {
     LintReport report;
-    report.add(LintCode::MassNotConserved, LintSeverity::Error, "policy",
+    report.add(LintCode::DanglingSegmentRef, LintSeverity::Error, "policy",
                "rejected by test acceptance policy");
     throw GrammarLintError(std::move(report));
   };

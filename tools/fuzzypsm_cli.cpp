@@ -70,12 +70,12 @@
 //       Validate an artifact and print its header, section table, and a
 //       grammar summary.
 //
-//   fuzzypsm lint-grammar --grammar GRAMMAR [--json] [--tolerance T]
-//            [--no-spot-checks] [--stride N]
-//       Audit an artifact's semantics zero-copy (analysis/grammar_lint.h):
-//       probability mass conservation, dangling B_n references,
-//       transformation probabilities in [0,1], trie invariants. Exit code
-//       is the worst severity found: 0 clean/info, 1 warnings, 2 errors.
+//   fuzzypsm lint-grammar --grammar GRAMMAR [--json]
+//       Load an artifact (the loader rejects any defect within one
+//       section) and audit what spans sections zero-copy
+//       (analysis/grammar_lint.h): dangling B_n references, counters that
+//       drift apart, base words the tries cannot reach. Exit code is the
+//       worst severity found: 0 clean/info, 1 warnings, 2 errors.
 //
 //   fuzzypsm update-loop --log DIR --stream FILE [--grammar GRAMMAR]
 //            [--compact-every N] [--threads N] [--metrics-dump FILE]
@@ -160,6 +160,7 @@
 #include "stats/rank.h"
 #include "synth/generator.h"
 #include "train/sharded_trainer.h"
+#include "trie/flat_trie.h"
 #include "util/error.h"
 #include "util/format.h"
 #include "util/parallel.h"
@@ -278,11 +279,13 @@ FuzzyConfig configFromArgs(const Args& args) {
 
 /// Streams the training file through the sharded trainer and returns the
 /// merged counts (reporting cleaning stats like loadFile does).
-GrammarCounts trainCounts(const FuzzyPsm& base, const std::string& path,
-                          unsigned threads) {
+GrammarCounts trainCounts(const FuzzyConfig& config, const FlatTrie& trie,
+                          const FlatTrie& reversedTrie,
+                          const std::string& path, unsigned threads) {
   TrainOptions options;
   options.threads = threads;
-  const ShardedTrainer trainer(base, options);
+  const ShardedTrainer trainer(config, trie.view(), reversedTrie.view(),
+                               options);
   DatasetReader reader(path);
   const GrammarCounts counts = trainer.countStream(reader);
   const LoadStats& stats = reader.stats();
@@ -299,14 +302,18 @@ GrammarCounts trainCounts(const FuzzyPsm& base, const std::string& path,
 int cmdTrain(const Args& args) {
   FuzzyPsm psm(configFromArgs(args));
   psm.loadBaseDictionary(loadFile(args.requiredOption("base"), "base"));
-  const GrammarCounts counts = trainCounts(
-      psm, args.requiredOption("training"), threadsOption(args));
+  // Each trie is flattened once: the trainer parses through the flat tries
+  // and the writer serializes the same ones.
+  const FlatTrie trie = FlatTrie::fromTrie(psm.baseDictionary());
+  const FlatTrie reversedTrie = FlatTrie::fromTrie(psm.reversedDictionary());
+  const GrammarCounts counts =
+      trainCounts(psm.config(), trie, reversedTrie,
+                  args.requiredOption("training"), threadsOption(args));
 
   // Compile the artifact straight from the merged counts — no second
   // FuzzyPsm.
-  const std::vector<std::byte> bytes =
-      writeArtifact(psm.config(), psm.baseWords(), psm.baseDictionary(),
-                    psm.reversedDictionary(), counts);
+  const std::vector<std::byte> bytes = writeArtifact(
+      psm.config(), psm.baseWords(), trie, reversedTrie, counts);
   const std::string out = args.requiredOption("out");
   std::FILE* file = std::fopen(out.c_str(), "wb");
   if (file == nullptr) throw IoError("cannot write artifact: " + out);
@@ -744,16 +751,7 @@ int cmdLintGrammar(const Args& args) {
   if (path.empty() && !args.positional.empty()) path = args.positional[0];
   if (path.empty()) throw InvalidArgument("missing --grammar GRAMMAR");
 
-  LintOptions options;
-  if (const auto t = args.option("tolerance"); !t.empty()) {
-    options.massTolerance = std::stod(t);
-  }
-  if (args.flag("no-spot-checks")) options.spotChecks = false;
-  if (const auto s = args.option("stride"); !s.empty()) {
-    options.spotCheckStride = std::stoul(s);
-  }
-
-  const LintReport report = lintGrammarFile(path, options);
+  const LintReport report = lintGrammarFile(path);
   if (args.flag("json")) {
     std::printf("%s\n", report.renderJson().c_str());
   } else {
@@ -1206,8 +1204,7 @@ const std::vector<Command>& commands() {
        {}},
       {"stats", cmdStats, {"file", "grammar", "seed"}, {"json"}},
       {"inspect", cmdInspect, {"artifact"}, {}},
-      {"lint-grammar", cmdLintGrammar, {"grammar", "tolerance", "stride"},
-       {"json", "no-spot-checks"}},
+      {"lint-grammar", cmdLintGrammar, {"grammar"}, {"json"}},
       {"update-loop", cmdUpdateLoop,
        {"log", "stream", "grammar", "compact-every", "threads",
         "metrics-dump"},
