@@ -9,6 +9,7 @@
 #include <functional>
 
 #include "bench_common.h"
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "eval/harness.h"
 #include "util/format.h"
@@ -64,7 +65,9 @@ int main(int argc, char** argv) {
       psm.loadBaseDictionary(harness.dataset(v.baseService));
     }
     psm.train(train);
-    const auto curve = correlationAgainstIdeal(psm, test, 8, false);
+    const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
+    const auto curve =
+        correlationAgainstIdeal(artifact->grammar(), test, 8, false);
     std::size_t headIdx = 0;
     for (std::size_t i = 0; i < curve.kendall.size(); ++i) {
       if (curve.kendall[i].k <= 200) headIdx = i;

@@ -9,8 +9,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
+#include "artifact/artifact.h"
+#include "core/fuzzy_psm.h"
 #include "eval/harness.h"
 
 namespace fpsm::bench {
@@ -34,6 +37,18 @@ inline HarnessConfig defaultConfig(int argc, char** argv,
   cfg.chineseUsers = 100000;
   cfg.englishUsers = 100000;
   return cfg;
+}
+
+/// fuzzyPSM as it is served: `base` loaded as the base dictionary,
+/// `training` counted, and the grammar compiled to an artifact whose
+/// grammar() view scores, samples and enumerates. Hold the pointer while
+/// using the view.
+inline std::shared_ptr<const GrammarArtifact> compiledFuzzyPsm(
+    const Dataset& base, const Dataset& training) {
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(base);
+  builder.train(training);
+  return GrammarArtifact::fromBytes(compileArtifact(builder));
 }
 
 inline void printHeader(const char* title, const HarnessConfig& cfg) {

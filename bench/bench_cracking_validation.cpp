@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/fuzzy_psm.h"
 #include "meters/markov/markov.h"
 #include "meters/pcfg/pcfg.h"
 #include "util/format.h"
@@ -33,9 +32,8 @@ int main(int argc, char** argv) {
   pcfg.train(train);
   MarkovModel markov;
   markov.train(train);
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(harness.dataset("Tianya"));
-  fuzzy.train(train);
+  const auto artifact = bench::compiledFuzzyPsm(harness.dataset("Tianya"), train);
+  const FlatGrammarView& fuzzy = artifact->grammar();
 
   std::vector<std::uint64_t> checkpoints;
   for (std::uint64_t c = 10; c <= 1000000; c *= 10) checkpoints.push_back(c);

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/fuzzy_psm.h"
 #include "eval/scenario.h"
 #include "meters/ideal/ideal.h"
 #include "meters/markov/markov.h"
@@ -33,9 +32,8 @@ int main(int argc, char** argv) {
   const Dataset& train = quarters[0];
   const Dataset& test = quarters[1];
 
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(harness.dataset("Tianya"));
-  fuzzy.train(train);
+  const auto artifact = bench::compiledFuzzyPsm(harness.dataset("Tianya"), train);
+  const FlatGrammarView& fuzzy = artifact->grammar();
   PcfgModel pcfg;
   pcfg.train(train);
   MarkovModel markov;

@@ -8,9 +8,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "artifact/explain.h"
 #include "bench_common.h"
-#include "core/explain.h"
-#include "core/fuzzy_psm.h"
 #include "util/chars.h"
 #include "util/format.h"
 
@@ -18,11 +17,11 @@ using namespace fpsm;
 
 namespace {
 
-void printDerivation(const FuzzyPsm& psm, const std::string& pw) {
+void printDerivation(const FlatGrammarView& grammar, const std::string& pw) {
   std::printf("\nDerivation of \"%s\" (cf. paper Fig. 11):\n", pw.c_str());
-  const auto ex = explainDerivation(psm, pw);
+  const auto ex = explainDerivation(grammar, pw);
   std::printf("%s  (log2Prob check: %.3f)\n", ex.render().c_str(),
-              psm.log2Prob(pw));
+              grammar.log2Prob(pw));
 }
 
 }  // namespace
@@ -34,24 +33,25 @@ int main(int argc, char** argv) {
       cfg);
   EvalHarness harness(cfg);
 
-  FuzzyPsm psm;
-  psm.loadBaseDictionary(harness.dataset("Tianya"));
-  psm.train(harness.dataset("Dodonew"));
+  const auto artifact = bench::compiledFuzzyPsm(harness.dataset("Tianya"),
+                                                harness.dataset("Dodonew"));
+  const FlatGrammarView& grammar = artifact->grammar();
 
   std::printf("base dictionary: %s distinct words (len >= %zu)\n",
-              fmtCount(psm.baseDictionary().size()).c_str(),
-              psm.config().minBaseWordLen);
+              fmtCount(grammar.baseWordCount()).c_str(),
+              grammar.config().minBaseWordLen);
   std::printf("training: %s passwords, %s base structures\n",
-              fmtCount(psm.trainedPasswords()).c_str(),
-              fmtCount(psm.structures().distinct()).c_str());
+              fmtCount(grammar.trainedPasswords()).c_str(),
+              fmtCount(grammar.structures().distinct()).c_str());
 
   // ---- Table IV: base structures and example segments -------------------
   std::printf("%s", banner("Table IV: top base structures").c_str());
   TextTable structures({"LHS", "RHS", "Probability"});
   int shown = 0;
-  for (const auto& item : psm.structures().sortedDesc()) {
-    structures.addRow({"S", item.form,
-                       fmtDouble(psm.structures().probability(item.form), 5)});
+  const FlatTableView& table = grammar.structures();
+  for (const std::uint32_t i : table.byCountDesc()) {
+    structures.addRow({"S", std::string(table.form(i)),
+                       fmtDouble(table.probability(table.form(i)), 5)});
     if (++shown == 12) break;
   }
   std::printf("%s", structures.render().c_str());
@@ -59,25 +59,27 @@ int main(int argc, char** argv) {
   // Fraction of single-segment structures — the paper reports over 80% of
   // items are of the simple form S -> Bm.
   double singleMass = 0.0;
-  psm.structures().forEach([&](std::string_view key, std::uint64_t c) {
+  for (std::uint32_t i = 0; i < table.distinct(); ++i) {
     int segCount = 0;
-    for (char ch : key) segCount += ch == 'B';
-    if (segCount == 1) singleMass += static_cast<double>(c);
-  });
+    for (char ch : table.form(i)) segCount += ch == 'B';
+    if (segCount == 1) singleMass += static_cast<double>(table.countAt(i));
+  }
   std::printf("single-segment structures (S -> Bm): %s of training mass "
               "(paper: >80%% of items)\n",
-              fmtPercent(singleMass /
-                         static_cast<double>(psm.structures().total()))
+              fmtPercent(singleMass / static_cast<double>(table.total()))
                   .c_str());
 
   std::printf("%s", banner("Table IV (cont.): top segments per length").c_str());
   for (const std::size_t len : {6, 8, 11}) {
-    if (const SegmentTable* t = psm.segmentTable(len)) {
+    if (const FlatTableView* t = grammar.segmentTable(len)) {
       TextTable seg({"LHS", "RHS", "Probability"});
+      // "B" + length, not "B" + std::to_string(len): gcc 12 at -O3 reports
+      // a false -Wrestrict when a literal is prepended to a temporary.
+      const std::string length = std::to_string(len);
       int n = 0;
-      for (const auto& item : t->sortedDesc()) {
-        seg.addRow({"B" + std::to_string(len), item.form,
-                    fmtDouble(t->probability(item.form), 5)});
+      for (const std::uint32_t i : t->byCountDesc()) {
+        seg.addRow({"B" + length, std::string(t->form(i)),
+                    fmtDouble(t->probability(t->form(i)), 5)});
         if (++n == 5) break;
       }
       std::printf("%s", seg.render().c_str());
@@ -87,22 +89,23 @@ int main(int argc, char** argv) {
   // ---- Table V / VI: transformation rules --------------------------------
   std::printf("%s", banner("Table V: capitalization of first letter").c_str());
   std::printf("P(Yes) = %.4f   P(No) = %.4f   (paper example: 0.03 / 0.97)\n",
-              psm.capitalizeYesProb(), 1.0 - psm.capitalizeYesProb());
+              grammar.capitalizeYesProb(), 1.0 - grammar.capitalizeYesProb());
 
   std::printf("%s", banner("Table VI: leet transformations").c_str());
   TextTable leet({"Rule", "Pair", "P(Yes)", "P(No)"});
   for (int r = 0; r < kNumLeetRules; ++r) {
     const LeetRule& rule = kLeetRules[static_cast<std::size_t>(r)];
-    const double py = psm.leetYesProb(r);
-    leet.addRow({"L" + std::to_string(r + 1),
+    const double py = grammar.leetYesProb(r);
+    const std::string index = std::to_string(r + 1);
+    leet.addRow({"L" + index,
                  std::string(1, rule.letter) + "<->" + rule.sub,
                  fmtDouble(py, 5), fmtDouble(1.0 - py, 5)});
   }
   std::printf("%s", leet.render().c_str());
 
   // ---- Fig. 11: worked derivations ---------------------------------------
-  printDerivation(psm, "p@ssw0rd1");
-  printDerivation(psm, "Woaini1314");
-  printDerivation(psm, "123456789a");
+  printDerivation(grammar, "p@ssw0rd1");
+  printDerivation(grammar, "Woaini1314");
+  printDerivation(grammar, "123456789a");
   return 0;
 }

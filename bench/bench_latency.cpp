@@ -9,8 +9,8 @@
 #include <memory>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/fuzzy_psm.h"
-#include "eval/harness.h"
 #include "meters/ideal/ideal.h"
 #include "meters/keepsm/keepsm.h"
 #include "meters/markov/markov.h"
@@ -32,8 +32,7 @@ struct Setup {
     EvalHarness harness(cfg);
     const auto& quarters = harness.quarters("CSDN");
     train = quarters[0];
-    fuzzy.loadBaseDictionary(harness.dataset("Tianya"));
-    fuzzy.train(train);
+    artifact = bench::compiledFuzzyPsm(harness.dataset("Tianya"), train);
     pcfg.train(train);
     markov.train(train);
     for (const auto& e : quarters[1].sortedByFrequency()) {
@@ -41,8 +40,11 @@ struct Setup {
       if (probes.size() >= 2000) break;
     }
   }
+  /// fuzzyPSM as it is served: the compiled grammar's view.
+  const FlatGrammarView& fuzzy() const { return artifact->grammar(); }
+
   Dataset train;
-  FuzzyPsm fuzzy;
+  std::shared_ptr<const GrammarArtifact> artifact;
   PcfgModel pcfg;
   MarkovModel markov;
   ZxcvbnMeter zxcvbn;
@@ -67,7 +69,7 @@ void measureLoop(benchmark::State& state, const Meter& meter) {
 }
 
 void BM_MeasureFuzzyPsm(benchmark::State& state) {
-  measureLoop(state, setup().fuzzy);
+  measureLoop(state, setup().fuzzy());
 }
 void BM_MeasurePcfg(benchmark::State& state) {
   measureLoop(state, setup().pcfg);
@@ -112,14 +114,14 @@ void BM_TrainMarkovPerPassword(benchmark::State& state) {
 void BM_SampleFuzzy(benchmark::State& state) {
   Rng rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(setup().fuzzy.sample(rng));
+    benchmark::DoNotOptimize(setup().fuzzy().sample(rng));
   }
 }
 
 void BM_MonteCarloBuild10k(benchmark::State& state) {
   Rng rng(6);
   for (auto _ : state) {
-    MonteCarloEstimator mc(setup().fuzzy, 10000, rng);
+    MonteCarloEstimator mc(setup().fuzzy(), 10000, rng);
     benchmark::DoNotOptimize(mc.guessNumberCeiling());
   }
 }

@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "core/fuzzy_psm.h"
 #include "eval/defense.h"
 #include "meters/keepsm/keepsm.h"
 #include "meters/markov/markov.h"
@@ -38,9 +37,8 @@ int main(int argc, char** argv) {
   const Dataset base = generator.generate(
       ServiceProfile::byName("Rockyou", cfg.scale / 10, 3000));
 
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(base);
-  fuzzy.train(training);
+  const auto artifact = bench::compiledFuzzyPsm(base, training);
+  const FlatGrammarView& fuzzy = artifact->grammar();
   PcfgModel pcfg;
   pcfg.train(training);
   MarkovModel markov;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/fuzzy_psm.h"
 #include "meters/ideal/ideal.h"
 #include "meters/markov/markov.h"
 #include "meters/pcfg/pcfg.h"
@@ -42,9 +41,8 @@ int main(int argc, char** argv) {
   const Dataset& train = quarters[0];
   const Dataset& test = quarters[1];
 
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(harness.dataset("Tianya"));
-  fuzzy.train(train);
+  const auto artifact = bench::compiledFuzzyPsm(harness.dataset("Tianya"), train);
+  const FlatGrammarView& fuzzy = artifact->grammar();
   PcfgModel pcfg;
   pcfg.train(train);
   MarkovModel markov;

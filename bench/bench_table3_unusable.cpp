@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/fuzzy_psm.h"
 #include "meters/markov/markov.h"
 #include "meters/pcfg/pcfg.h"
 #include "model/unusable.h"
@@ -45,9 +44,8 @@ int main(int argc, char** argv) {
   pcfg.train(train);
   MarkovModel markov;
   markov.train(train);
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(harness.dataset("Tianya"));
-  fuzzy.train(train);
+  const auto artifact = bench::compiledFuzzyPsm(harness.dataset("Tianya"), train);
+  const FlatGrammarView& fuzzy = artifact->grammar();
 
   struct Row {
     const char* name;

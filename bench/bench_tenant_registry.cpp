@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "bench_common.h"
 #include "core/fuzzy_psm.h"
 #include "registry/grammar_registry.h"
@@ -213,7 +214,8 @@ int main(int argc, char** argv) {
       FuzzyPsm psm;
       psm.loadBaseDictionary(harness.dataset(tenant.baseService));
       psm.train(harness.dataset(tenant.trainService));
-      registry.addTenant(tenant.id, psm);
+      const std::vector<std::byte> bytes = compileArtifact(psm);
+      registry.addTenant(tenant.id, bytes.data(), bytes.size());
       // Occurrence-weighted traffic, Zipf-shaped like real registrations.
       const Dataset& traffic = harness.dataset(tenant.trainService);
       Rng poolRng(42);

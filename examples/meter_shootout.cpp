@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "meters/keepsm/keepsm.h"
 #include "meters/markov/markov.h"
@@ -40,9 +41,11 @@ int main(int argc, char** argv) {
   const Dataset base =
       generator.generate(ServiceProfile::byName("Rockyou", 0.001));
 
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(base);
-  fuzzy.train(training);
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(base);
+  builder.train(training);
+  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(builder));
+  const FlatGrammarView& fuzzy = artifact->grammar();
   PcfgModel pcfg;
   pcfg.train(training);
   MarkovModel markov;

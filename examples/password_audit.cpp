@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/io.h"
 #include "model/montecarlo.h"
@@ -40,10 +41,12 @@ int main(int argc, char** argv) {
   }
 
   // --- attacker model: fuzzyPSM trained on a similar-service leak ----------
-  FuzzyPsm attacker;
-  attacker.loadBaseDictionary(
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(
       generator.generate(ServiceProfile::byName("Rockyou", 0.001)));
-  attacker.train(generator.generate(ServiceProfile::byName("Phpbb", 0.01)));
+  builder.train(generator.generate(ServiceProfile::byName("Phpbb", 0.01)));
+  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(builder));
+  const FlatGrammarView& attacker = artifact->grammar();
   Rng rng(5);
   const MonteCarloEstimator mc(attacker, 20000, rng);
 

@@ -8,6 +8,7 @@
 // mandatory from suggestive meters).
 #include <cstdio>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "eval/defense.h"
 #include "synth/generator.h"
@@ -24,9 +25,11 @@ int main() {
   const Dataset base =
       generator.generate(ServiceProfile::byName("Rockyou", 0.001));
 
-  FuzzyPsm meter;
-  meter.loadBaseDictionary(base);
-  meter.train(training);
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(base);
+  builder.train(training);
+  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(builder));
+  const FlatGrammarView& meter = artifact->grammar();
 
   std::printf("gate: fuzzyPSM trained on %s; service: %s (%s accounts)\n\n",
               training.name().c_str(), service.name.c_str(),

@@ -11,6 +11,7 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
 
@@ -46,10 +47,13 @@ int main() {
   training.add("monkey99", 7);
   training.add("x7#QpL2v", 1);
 
-  // 3. Train the meter.
-  FuzzyPsm meter;
-  meter.loadBaseDictionary(base);
-  meter.train(training);
+  // 3. Train the grammar and compile it. The compiled artifact is what a
+  //    service stores and serves (an .fpsmb file); its view is the meter.
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(base);
+  builder.train(training);
+  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(builder));
+  const FlatGrammarView& meter = artifact->grammar();
 
   // 4. Measure candidates. strengthBits = -log2(probability): higher is
   //    stronger; probability-zero passwords report +inf.

@@ -8,11 +8,20 @@
 //   - accepted passwords feed the update phase, so the meter tracks the
 //     service's own (shifting) password distribution — watch a once-"good"
 //     password degrade to "weak" after it becomes locally popular.
+//
+// The meter is served the way production serves it: the trained grammar
+// is compiled to an artifact, committed as generation 1 of a generation
+// log, and OnlineUpdater folds accepted passwords into the next generation
+// (src/online). The log lives in a scratch directory removed on exit.
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "model/montecarlo.h"
+#include "online/online_updater.h"
 #include "synth/generator.h"
 #include "util/format.h"
 
@@ -42,15 +51,32 @@ int main() {
   const Dataset baseLeak =
       generator.generate(ServiceProfile::byName("Rockyou", 0.001));
 
-  FuzzyPsm meter;
-  meter.loadBaseDictionary(baseLeak);
-  meter.train(trainingLeak);
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(baseLeak);
+  builder.train(trainingLeak);
+  const std::vector<std::byte> grammar = compileArtifact(builder);
+
+  std::string logDir =
+      (std::filesystem::temp_directory_path() / "fpsm-registration-XXXXXX")
+          .string();
+  if (mkdtemp(logDir.data()) == nullptr) {
+    std::perror("mkdtemp");
+    return 1;
+  }
+  const auto meter =
+      OnlineUpdater::bootstrap(logDir, grammar.data(), grammar.size());
 
   // Calibrate probability -> guess number once (Monte Carlo).
   Rng rng(99);
-  MonteCarloEstimator calibration(meter, 20000, rng);
+  const MonteCarloEstimator calibration(
+      GrammarArtifact::fromBytes(grammar)->grammar(), 20000, rng);
   auto guessNumberOf = [&](const std::string& pw) {
-    return calibration.guessNumber(meter.log2Prob(pw));
+    return calibration.guessNumber(-meter->service().score(pw).bits);
+  };
+  // The update phase: accept, then compact into the next generation.
+  auto accept = [&](const std::string& pw, std::uint64_t n) {
+    meter->accept(pw, n);
+    meter->compactNow();
   };
 
   const Policy policy;
@@ -70,7 +96,7 @@ int main() {
     std::printf("%-16s %14s  %s\n", pw,
                 g >= 1e12 ? ">1e12" : fmtCount(static_cast<uint64_t>(g)).c_str(),
                 verdict(g, policy));
-    if (g >= policy.weakBelow) meter.update(pw);  // the update phase
+    if (g >= policy.weakBelow) accept(pw, 1);  // the update phase
   }
 
   // --- adaptivity: a locally fashionable password degrades ------------------
@@ -83,10 +109,11 @@ int main() {
     std::printf("%8d %14s  %s\n", wave * 40,
                 g >= 1e12 ? ">1e12" : fmtCount(static_cast<uint64_t>(g)).c_str(),
                 verdict(g, policy));
-    meter.update(fad, 40);  // 40 more users pick the fad password
+    accept(fad, 40);  // 40 more users pick the fad password
   }
   std::printf(
       "\nThe meter reacts to its own acceptance stream — the dynamic "
       "behaviour the paper's update phase provides (Sec. IV-C).\n");
+  std::filesystem::remove_all(logDir);
   return 0;
 }

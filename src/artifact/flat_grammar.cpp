@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/error.h"
 
 namespace fpsm {
-namespace {
-
-constexpr double kInfiniteBits = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 std::uint64_t FlatTableView::count(std::string_view form) const {
   // Binary search over the lexicographically sorted entries, comparing
@@ -42,10 +36,11 @@ const FlatTableView* FlatGrammarView::segmentTable(std::size_t len) const {
   return nullptr;
 }
 
-// The probability formulas below replicate FuzzyPsm::capProb / leetProb /
-// revProb / derivationLog2Prob operation for operation: the differential
-// tests require scores from a compiled artifact to be bit-identical to the
-// grammar it was compiled from, so the float expressions must not drift.
+// The grammar's probability arithmetic. Every score, sample, guess and
+// explanation goes through these, so the float expressions are pinned by
+// the worked examples in tests/core_test.cpp, the golden artifact and the
+// claims digest: a change that reorders them moves the last bits of every
+// score.
 
 double FlatGrammarView::capProb(bool yes) const {
   const double prior = config_.transformationPrior;

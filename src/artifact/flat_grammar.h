@@ -1,23 +1,28 @@
 // Zero-copy views over an .fpsmb artifact: FlatTableView (one B_n / base
 // structure count table, binary-searchable in place) and FlatGrammarView
-// (the full scoring surface of a trained fuzzy grammar).
+// (the trained fuzzy grammar as a model).
 //
-// FlatGrammarView exposes the same scoring interface FuzzyPsm does —
-// parse(), derivationLog2Prob(), log2Prob(), strengthBits() — computed
-// with the *identical* arithmetic in the identical order, so scores from a
-// compiled artifact are bit-for-bit equal to the in-memory grammar they
-// were compiled from (the differential tests in tests/artifact_test.cpp
-// enforce this). All state is pointers into the mapped buffer plus a few
-// copied counters; constructing a view allocates only the small per-length
-// segment-table index.
+// FlatGrammarView is the one piece of code that turns a trained grammar
+// into numbers: it scores (parse(), derivationLog2Prob(), log2Prob(),
+// strengthBits() and the batch forms), samples, enumerates guesses in
+// decreasing probability order, and feeds explainDerivation
+// (artifact/explain.h). FuzzyPsm (core/fuzzy_psm.h) only counts; a caller
+// compiles it (compileArtifact) and scores the view. All scoring state is
+// pointers into the mapped buffer plus a few copied counters; constructing
+// a view allocates only the small per-length segment-table index. The
+// sampler's draw order is built on the first sample() call, never by the
+// loader or by scoring.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/fuzzy_parse.h"
+#include "model/probabilistic.h"
 #include "trie/flat_trie.h"
 #include "util/chars.h"
 #include "util/check.h"
@@ -61,6 +66,10 @@ class FlatTableView {
     FPSM_DCHECK(i < distinct_);
     return counts_[i];
   }
+  /// Entry indices by count descending, then form: the order the grammar
+  /// samples and enumerates in (flat_grammar_sample.cpp), and the order of
+  /// the pointer grammar's SegmentTable::sortedDesc.
+  std::vector<std::uint32_t> byCountDesc() const;
 
  private:
   const std::uint64_t* counts_ = nullptr;
@@ -72,17 +81,38 @@ class FlatTableView {
 };
 
 /// The full grammar read out of a validated artifact buffer. Non-owning:
-/// the GrammarArtifact that produced it keeps the buffer alive.
-class FlatGrammarView {
+/// the GrammarArtifact that produced it keeps the buffer alive. Final, so
+/// the serving layers' calls through a FlatGrammarView& stay direct.
+class FlatGrammarView final : public ProbabilisticModel {
  public:
   FlatGrammarView() = default;
 
-  // --- scoring (mirrors FuzzyPsm bit-for-bit) ----------------------------
-  double log2Prob(std::string_view pw) const;
-  double strengthBits(std::string_view pw) const { return -log2Prob(pw); }
+  // --- scoring -------------------------------------------------------------
+  std::string name() const override { return "fuzzyPSM"; }
+  double log2Prob(std::string_view pw) const override;
+  double strengthBits(std::string_view pw) const override {
+    return -log2Prob(pw);
+  }
   FuzzyParse parse(std::string_view pw) const;
+  /// log2 probability of one explicit derivation (structure + segments +
+  /// transformation decisions); log2Prob(pw) scores parse(pw) with it.
   double derivationLog2Prob(const FuzzyParse& parse) const;
   bool trained() const { return structures_.total() > 0; }
+
+  // --- generation (flat_grammar_sample.cpp) --------------------------------
+  /// Draws one password: a derivation drawn production by production,
+  /// accepted when the rendered string's canonical parse scores the same
+  /// (rejection keeps the draw proportional to what log2Prob scores; see
+  /// DESIGN.md). Each table draws from its entries ordered by count
+  /// descending, then form. Safe to call concurrently; the first call
+  /// builds that order for every table.
+  std::string sample(Rng& rng) const override;
+  bool supportsEnumeration() const override { return true; }
+  /// Emits guesses in decreasing probability order (the Table III
+  /// enumeration): each B_n table expanded into its transformation
+  /// variants, combined per structure through a priority queue.
+  void enumerateGuesses(std::uint64_t maxGuesses,
+                        const GuessCallback& cb) const override;
 
   // --- batch scoring ------------------------------------------------------
   /// Scores n passwords in one call: out[i] is bit-identical to
@@ -128,13 +158,29 @@ class FlatGrammarView {
   std::uint64_t leetTotal(int rule) const {
     return leetTotal_[static_cast<std::size_t>(rule)];
   }
+  /// P(Capitalize -> Yes) (Table V), including the configured prior.
+  double capitalizeYesProb() const { return capProb(true); }
+  /// P(L_rule -> Yes) (Table VI), including the configured prior.
+  double leetYesProb(int rule) const { return leetProb(rule, true); }
+  /// P(Reverse -> Yes) (matchReverse extension; 0 unless enabled).
+  double reverseYesProb() const {
+    return config_.matchReverse ? revProb(true) : 0.0;
+  }
 
  private:
   friend class GrammarArtifact;
 
+  /// One table's entry indices in draw order (count descending, then
+  /// form) with the running sums of their counts.
+  struct DrawTable {
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint64_t> cumulative;
+  };
+
   double capProb(bool yes) const;
   double leetProb(int rule, bool yes) const;
   double revProb(bool yes) const;
+  void buildDrawTables() const;
 
   FuzzyConfig config_;
   FlatTrieView trie_;
@@ -154,6 +200,11 @@ class FlatGrammarView {
   std::uint64_t leetYes_[kNumLeetRules] = {};
   std::uint64_t leetTotal_[kNumLeetRules] = {};
   std::uint64_t trainedPasswords_ = 0;
+
+  /// The sampler's draw order: [0] for the structures, [i + 1] for
+  /// segments_[i]. Built once, by the first sample() call.
+  mutable std::once_flag drawOnce_;
+  mutable std::vector<DrawTable> drawTables_;
 };
 
 }  // namespace fpsm

@@ -129,7 +129,7 @@ class ParseScratch {
 /// Generic over the trie representation: any type exposing the traversal
 /// concept `NodeId`/`kRoot`/`child`/`isTerminal`/`longestPrefix`/`empty`
 /// works. Two instantiations are compiled (fuzzy_parse.cpp): the pointer
-/// Trie FuzzyPsm scores with, and the pointer-free FlatTrieView read
+/// Trie FuzzyPsm counts with, and the pointer-free FlatTrieView read
 /// zero-copy out of an mmap'd grammar artifact (src/artifact) or
 /// flattened from a FuzzyPsm for training (src/train). Both walk the same
 /// automaton, so parses are identical by construction.

@@ -23,14 +23,15 @@
 // The update phase folds accepted passwords back into the counts, making
 // the meter adaptive.
 //
-// FuzzyPsm is a scoring facade: the base dictionary (tries + word list)
-// lives here, while all mutable counting state is a GrammarCounts value
-// (src/core/grammar_counts.h) so training can run sharded across threads
-// (src/train/sharded_trainer.h, which parses a flat copy of the tries) and
-// fold back in with absorbCounts(). A served grammar is an .fpsmb artifact,
-// never a FuzzyPsm: the serving and online-update layers hold none. The
-// pointer tries here parse only for FuzzyPsm's own scoring — the eval
-// harness, the CLI's measure/explain/guesses, and the tests' oracle.
+// FuzzyPsm is the grammar's builder: it loads the base dictionary (tries +
+// word list) and counts, and compileArtifact (artifact/artifact.h) turns it
+// into the .fpsmb artifact whose FlatGrammarView scores, samples,
+// enumerates and explains. All counting state is a GrammarCounts value
+// (src/core/grammar_counts.h), so training can also run sharded across
+// threads (src/train/sharded_trainer.h, which parses a flat copy of the
+// tries) and fold back in with absorbCounts(). The pointer tries parse
+// only for the serial update()/train() here and as the tests' oracle for
+// the flat parse.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +44,12 @@
 #include "core/grammar_counts.h"
 #include "corpus/dataset.h"
 #include "meters/segment_table.h"
-#include "model/probabilistic.h"
 #include "trie/trie.h"
 #include "util/chars.h"
 
 namespace fpsm {
 
-class FuzzyPsm : public ProbabilisticModel {
+class FuzzyPsm {
  public:
   explicit FuzzyPsm(FuzzyConfig config = {});
 
@@ -74,19 +74,12 @@ class FuzzyPsm : public ProbabilisticModel {
   /// to stay meaningful; counts themselves merge unconditionally.
   void absorbCounts(const GrammarCounts& delta) { counts_.merge(delta); }
 
-  // Meter / ProbabilisticModel interface.
-  std::string name() const override { return "fuzzyPSM"; }
-  double log2Prob(std::string_view pw) const override;
-  std::string sample(Rng& rng) const override;
-  bool supportsEnumeration() const override { return true; }
-  void enumerateGuesses(std::uint64_t maxGuesses,
-                        const GuessCallback& cb) const override;
-
-  /// Canonical parse of pw under the current base dictionary (diagnostics,
-  /// tests, and the worked Fig. 11 example).
+  /// Canonical parse of pw under the current base dictionary: what
+  /// update() counts, and the pointer-trie oracle the tests hold the flat
+  /// parse to.
   FuzzyParse parse(std::string_view pw) const;
 
-  // --- grammar introspection (Tables IV-VI, the artifact writer, tests) --
+  // --- grammar introspection (the artifact writer, tests) -----------------
   const FuzzyConfig& config() const { return config_; }
   const Trie& baseDictionary() const { return trie_; }
   /// The full counting state (src/core/grammar_counts.h): what training
@@ -101,51 +94,23 @@ class FuzzyPsm : public ProbabilisticModel {
   const SegmentTable* segmentTable(std::size_t len) const {
     return counts_.segmentTable(len);
   }
-  /// P(Capitalize -> Yes) (Table V), including the configured prior.
-  double capitalizeYesProb() const;
-  /// P(L_rule -> Yes) (Table VI), including the configured prior.
-  double leetYesProb(int rule) const;
-  /// P(Reverse -> Yes) (matchReverse extension; 0 unless enabled).
-  double reverseYesProb() const;
   std::uint64_t trainedPasswords() const { return counts_.trainedPasswords(); }
-  bool trained() const { return counts_.structures().total() > 0; }
 
-  // --- raw counters (analysis/grammar_lint.h audits these directly) ------
-  std::uint64_t capYesCount() const { return counts_.capYes(); }
-  std::uint64_t capTotalCount() const { return counts_.capTotal(); }
-  std::uint64_t revYesCount() const { return counts_.revYes(); }
-  std::uint64_t revTotalCount() const { return counts_.revTotal(); }
-  std::uint64_t leetYesCount(int rule) const { return counts_.leetYes(rule); }
-  std::uint64_t leetTotalCount(int rule) const {
-    return counts_.leetTotal(rule);
-  }
-  /// Ascending lengths n for which a B_n table exists (possibly empty).
-  std::vector<std::size_t> segmentLengths() const {
-    return counts_.segmentLengths();
-  }
   /// The reversed-word trie (empty unless config().matchReverse).
   const Trie& reversedDictionary() const { return reversedTrie_; }
-
-  /// log2 probability of one explicit derivation (structure + segments +
-  /// transformation decisions). Measuring is derivationLog2Prob(parse(pw)).
-  double derivationLog2Prob(const FuzzyParse& parse) const;
 
   // --- the .fpsmb artifact -------------------------------------------------
   // A grammar is stored only as an .fpsmb artifact (src/artifact/format.h):
   // compileArtifact() writes one from this object's public state, and
   // GrammarArtifact is the one reader.
-  /// Materializes an in-memory grammar from a validated artifact. Declared
-  /// here for private-member access but defined in
-  /// src/artifact/binary_io.cpp, so the core library carries no artifact
-  /// dependency; linking it requires fpsm_artifact. Re-compiling the
-  /// result gives the artifact's bytes back.
+  /// Rebuilds a builder from a validated artifact (the tests' round trip,
+  /// and fpsm_bench's compile timing). Declared here for private-member
+  /// access but defined in src/artifact/binary_io.cpp, so the core library
+  /// carries no artifact dependency; linking it requires fpsm_artifact.
+  /// Re-compiling the result gives the artifact's bytes back.
   static FuzzyPsm fromArtifact(const class GrammarArtifact& artifact);
 
  private:
-  double capProb(bool yes) const;
-  double leetProb(int rule, bool yes) const;
-  double revProb(bool yes) const;
-
   FuzzyConfig config_;
   Trie trie_;
   Trie reversedTrie_;  // populated only when config_.matchReverse

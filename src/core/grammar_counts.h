@@ -23,9 +23,8 @@
 // InvalidArgument instead of wrapping, so no sequence of updates can turn
 // a large count into a small one.
 //
-// FuzzyPsm owns one GrammarCounts and stays the scoring facade; it is a
-// friend so the artifact reader (FuzzyPsm::fromArtifact) can restore raw
-// counters.
+// FuzzyPsm, the grammar's builder, owns one GrammarCounts; it is a friend
+// so the artifact reader (FuzzyPsm::fromArtifact) can restore raw counters.
 #pragma once
 
 #include <array>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "artifact/artifact.h"
 #include "core/fuzzy_psm.h"
 #include "meters/ideal/ideal.h"
 #include "meters/keepsm/keepsm.h"
@@ -103,9 +104,13 @@ ScenarioResult EvalHarness::run(const Scenario& scenario) {
   }
 
   // --- train the meters ---------------------------------------------------
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(dataset(scenario.baseService));
-  fuzzy.train(train);
+  // fuzzyPSM is measured as production serves it: the counted grammar
+  // compiled to an artifact and scored through its view.
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(dataset(scenario.baseService));
+  builder.train(train);
+  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(builder));
+  const FlatGrammarView& fuzzy = artifact->grammar();
 
   PcfgModel pcfg;
   pcfg.train(train);

@@ -15,9 +15,12 @@
 namespace fpsm {
 
 std::unique_ptr<OnlineUpdater> OnlineUpdater::bootstrap(
-    const FuzzyPsm& trained, const std::string& directory,
-    OnlineUpdaterConfig config) {
-  if (!trained.trained()) {
+    const std::string& directory, const void* artifactBytes,
+    std::size_t byteCount, OnlineUpdaterConfig config) {
+  const auto* first = static_cast<const std::byte*>(artifactBytes);
+  const auto image = GrammarArtifact::fromBytes(
+      std::vector<std::byte>(first, first + byteCount));
+  if (!image->grammar().trained()) {
     throw NotTrained("OnlineUpdater: grammar must be trained to bootstrap");
   }
   GenerationLog log(directory);
@@ -26,12 +29,11 @@ std::unique_ptr<OnlineUpdater> OnlineUpdater::bootstrap(
         "OnlineUpdater: log at " + directory +
         " already has generations; use resume()");
   }
-  const std::vector<std::byte> bytes = compileArtifact(trained);
   // Gate the in-memory image before it touches the log, so a rejected
   // grammar leaves the log empty rather than holding an unservable
   // generation 1.
-  gate(config, GrammarArtifact::fromBytes(bytes)->grammar());
-  const std::uint64_t seq = log.append(bytes.data(), bytes.size());
+  gate(config, image->grammar());
+  const std::uint64_t seq = log.append(artifactBytes, byteCount);
   auto artifact = GrammarArtifact::open(log.pathFor(seq));
   return std::unique_ptr<OnlineUpdater>(new OnlineUpdater(
       std::move(log), std::move(artifact), seq, std::move(config)));

@@ -84,7 +84,6 @@
 #include <string_view>
 
 #include "artifact/artifact.h"
-#include "core/fuzzy_psm.h"
 #include "online/generation_log.h"
 #include "serve/tenant_meter.h"
 #include "serve/update_queue.h"
@@ -134,16 +133,17 @@ class OnlineUpdater {
   /// compactNow()); the cap keeps one call from reaching that limit alone.
   static constexpr std::uint64_t kMaxAcceptCount = std::uint64_t{1} << 32;
 
-  /// Starts a fresh log at `directory` from a trained grammar: compiles it,
-  /// runs the trust gate on the compiled image, commits it as generation 1
-  /// and serves the committed artifact; `trained` is not referenced
-  /// afterwards. Throws InvalidArgument if the log already has generations
+  /// Starts a fresh log at `directory` from `artifactBytes`, a compiled
+  /// .fpsmb image (a grammar file's bytes, or compileArtifact's output):
+  /// loads them (ArtifactError on bad bytes), runs the trust gate on the
+  /// loaded image, commits them as generation 1 and serves the committed
+  /// artifact. Throws InvalidArgument if the log already has generations
   /// (use resume()), NotTrained on an untrained grammar, and the gate's
   /// error (GrammarLintError for a lint failure) on rejection — a rejected
   /// grammar never reaches the log.
   static std::unique_ptr<OnlineUpdater> bootstrap(
-      const FuzzyPsm& trained, const std::string& directory,
-      OnlineUpdaterConfig config = {});
+      const std::string& directory, const void* artifactBytes,
+      std::size_t byteCount, OnlineUpdaterConfig config = {});
 
   /// Reopens an existing log after a crash or restart. Walks generations
   /// newest-first and serves the first one that opens and passes the trust

@@ -116,12 +116,6 @@ void GrammarRegistry::addTenant(const std::string& tenant,
   refreshGaugesLocked();
 }
 
-void GrammarRegistry::addTenant(const std::string& tenant,
-                                const FuzzyPsm& trained) {
-  const std::vector<std::byte> bytes = compileArtifact(trained);
-  addTenant(tenant, bytes.data(), bytes.size());
-}
-
 TenantRoute GrammarRegistry::routeFor(const std::string& tenant) {
   if (const auto table = table_.load()) {
     if (const TenantRoute* route = findRoute(*table, tenant)) {

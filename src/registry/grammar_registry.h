@@ -150,8 +150,10 @@ class GrammarRegistry {
   static bool validTenantId(std::string_view id);
 
   /// Registers a new tenant and commits `artifactBytes` (a compiled
-  /// .fpsmb image) as generation 1 of its log. Before anything touches
-  /// disk the image is loaded (ArtifactError on bad bytes) and put through
+  /// .fpsmb image: a grammar file's bytes, or compileArtifact of a
+  /// FuzzyPsm builder) as generation 1 of its log, like
+  /// OnlineUpdater::bootstrap. Before anything touches disk the image is
+  /// loaded (ArtifactError on bad bytes) and put through
   /// OnlineUpdater's trust gate under tenantConfig (GrammarLintError, or
   /// what tenantConfig.publishGate throws), so a tenant is registered only
   /// with a generation its cold load will serve; a rejected image leaves
@@ -160,10 +162,6 @@ class GrammarRegistry {
   /// already-registered tenant.
   void addTenant(const std::string& tenant, const void* artifactBytes,
                  std::size_t byteCount) FPSM_EXCLUDES(mutex_);
-
-  /// Convenience: compiles `trained` and registers it as above.
-  void addTenant(const std::string& tenant, const FuzzyPsm& trained)
-      FPSM_EXCLUDES(mutex_);
 
   /// Scores one password against `tenant`'s current snapshot, loading the
   /// tenant if cold. Throws UnknownTenantError for unregistered tenants.

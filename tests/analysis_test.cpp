@@ -29,6 +29,7 @@
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
 #include "artifact_tamper.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "online/generation_log.h"
 #include "online/online_updater.h"
@@ -406,7 +407,7 @@ class LintGateTest : public ::testing::Test {
 TEST_F(LintGateTest, BootstrapRejectsBadArtifact) {
   const std::string dir = logDir("bootstrap");
   try {
-    (void)OnlineUpdater::bootstrap(makeBadPsm(), dir);
+    (void)test_grammar::bootstrapped(makeBadPsm(), dir);
     FAIL() << "expected GrammarLintError";
   } catch (const GrammarLintError& e) {
     EXPECT_TRUE(e.report().has(LintCode::DanglingSegmentRef));
@@ -416,14 +417,14 @@ TEST_F(LintGateTest, BootstrapRejectsBadArtifact) {
   // The rejected grammar never reached the log, so a good one can still
   // bootstrap there.
   EXPECT_EQ(GenerationLog(dir).latest(), nullptr);
-  const auto updater = OnlineUpdater::bootstrap(makeTrainedPsm(), dir);
+  const auto updater = test_grammar::bootstrapped(makeTrainedPsm(), dir);
   EXPECT_EQ(updater->stats().lastSequence, 1u);
 }
 
 TEST_F(LintGateTest, ResumeSkipsBadArtifactOnColdStart) {
   const std::string dir = logDir("resume");
   const FuzzyPsm good = makeTrainedPsm();
-  (void)OnlineUpdater::bootstrap(good, dir);
+  (void)test_grammar::bootstrapped(good, dir);
   {
     // The newest generation is the tampered grammar. The log only promises
     // byte integrity, so it commits the bytes; the gate is resume's job.
@@ -441,7 +442,7 @@ TEST_F(LintGateTest, ResumeSkipsBadArtifactOnColdStart) {
   // The generation before it serves.
   EXPECT_EQ(resumed->stats().lastSequence, 1u);
   EXPECT_EQ(resumed->service().score("password1").bits,
-            good.strengthBits("password1"));
+            test_grammar::compiled(good)->grammar().strengthBits("password1"));
 }
 
 // The serve layer has no audit to override any more: serving a lint-bad

@@ -4,14 +4,19 @@
 //     tamper must surface as a typed ArtifactError, never a crash, hang,
 //     or silent mis-load (run under asan/ubsan via the `artifact` label);
 //   * differential tests — FlatTrieView agrees with the pointer Trie on
-//     every traversal query, and full-meter scores from a compiled
-//     artifact are bit-identical to the grammar they were compiled from;
+//     every traversal query, and the compiled grammar parses every password
+//     exactly as the builder it was compiled from and holds the same count
+//     for every production it scores, so its scores are that grammar's;
 //   * round-trip properties — compile -> read -> compile is byte-identical,
 //     so the artifact carries every count and the base-word order;
 //   * the base + delta writer — a generation written from the served
 //     artifact and a delta equals the five-argument writer's bytes over the
 //     merged counts, and every sum it makes is checked;
-//   * a golden fixture pinning the on-disk encoding across refactors.
+//   * a golden fixture pinning the on-disk encoding across refactors, and
+//     the draws a seed makes from it;
+//   * the sampler under concurrent first calls (its draw order is built
+//     once per view; run it under TSan with `ctest --preset tsan -L
+//     artifact`).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,12 +24,14 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "artifact/artifact.h"
 #include "artifact/checksum.h"
 #include "artifact_tamper.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "serve/tenant_meter.h"
 #include "trie/flat_trie.h"
@@ -37,6 +44,7 @@ namespace fpsm {
 namespace {
 
 using Bytes = std::vector<std::byte>;
+using test_grammar::expectSameParse;
 
 // ------------------------------------------------------------ grammar fixtures
 
@@ -151,7 +159,9 @@ TEST(Artifact, OpensFromMmapFile) {
   const auto artifact = GrammarArtifact::open(path);
   EXPECT_TRUE(artifact->memoryMapped());
   EXPECT_EQ(artifact->grammar().log2Prob("password1"),
-            psm.log2Prob("password1"));
+            GrammarArtifact::fromBytes(compileArtifact(psm))
+                ->grammar()
+                .log2Prob("password1"));
   std::remove(path.c_str());
 }
 
@@ -606,7 +616,40 @@ TEST(ArtifactDifferential, FlatTrieMatchesPointerTrieOn10kWords) {
 
 // ------------------------------------------------------ full-meter differential
 
-TEST(ArtifactDifferential, ScoresBitIdenticalToSourceGrammar) {
+/// Every count the compiled grammar reads to score `parse` equals the
+/// builder's: the structure's, each segment's, and the transformation
+/// counters the rule probabilities derive from.
+void expectSameCounts(const FuzzyPsm& psm, const FlatGrammarView& flat,
+                      const FuzzyParse& parse, std::string_view pw) {
+  EXPECT_EQ(flat.structures().count(parse.structure),
+            psm.structures().count(parse.structure))
+      << pw;
+  EXPECT_EQ(flat.structures().total(), psm.structures().total()) << pw;
+  for (const FuzzySegment& seg : parse.segments) {
+    // An absent table counts nothing.
+    const SegmentTable* table = psm.segmentTable(seg.length());
+    const FlatTableView* flatTable = flat.segmentTable(seg.length());
+    EXPECT_EQ(flatTable ? flatTable->count(seg.base) : 0,
+              table ? table->count(seg.base) : 0)
+        << pw;
+    EXPECT_EQ(flatTable ? flatTable->total() : 0, table ? table->total() : 0)
+        << pw;
+  }
+  const GrammarCounts& c = psm.counts();
+  EXPECT_EQ(flat.capYes(), c.capYes());
+  EXPECT_EQ(flat.capTotal(), c.capTotal());
+  EXPECT_EQ(flat.revYes(), c.revYes());
+  EXPECT_EQ(flat.revTotal(), c.revTotal());
+  for (int r = 0; r < kNumLeetRules; ++r) {
+    EXPECT_EQ(flat.leetYes(r), c.leetYes(r));
+    EXPECT_EQ(flat.leetTotal(r), c.leetTotal(r));
+  }
+}
+
+// The compiled grammar is the one scorer, so what must match the builder
+// is every input to its arithmetic: the parse (the flat trie against the
+// pointer trie the builder counted with) and every count that parse reads.
+TEST(ArtifactDifferential, ParsesAndCountsMatchSourceGrammar) {
   const std::string alphabet =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789@$!#";
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -620,11 +663,10 @@ TEST(ArtifactDifferential, ScoresBitIdenticalToSourceGrammar) {
       for (std::size_t c = 0; c < len; ++c) {
         pw.push_back(alphabet[rng.below(alphabet.size())]);
       }
-      // EXPECT_EQ, not NEAR: the artifact carries the identical integer
-      // counts and the view replicates the float expressions operation for
-      // operation (covers -infinity too).
-      ASSERT_EQ(flat.log2Prob(pw), psm.log2Prob(pw))
-          << "seed " << seed << " pw " << pw;
+      SCOPED_TRACE("seed " + std::to_string(seed) + " pw " + pw);
+      const FuzzyParse parse = flat.parse(pw);
+      expectSameParse(parse, psm.parse(pw), pw);
+      expectSameCounts(psm, flat, parse, pw);
     }
   }
 }
@@ -638,11 +680,10 @@ TEST(ArtifactDifferential, TransformationProbesBitIdentical) {
   for (const char* pw :
        {"password1", "Password1", "p@ssword1", "drowssap", "abc123",
         "Dr@gon99", "m0nkey!", "Shadow2020", "zzZZ##99xx"}) {
-    EXPECT_EQ(flat.log2Prob(pw), psm.log2Prob(pw)) << pw;
-    const FuzzyParse a = flat.parse(pw);
-    const FuzzyParse b = psm.parse(pw);
-    EXPECT_EQ(a.structure, b.structure) << pw;
-    EXPECT_EQ(flat.derivationLog2Prob(a), psm.derivationLog2Prob(b)) << pw;
+    const FuzzyParse parse = flat.parse(pw);
+    expectSameParse(parse, psm.parse(pw), pw);
+    expectSameCounts(psm, flat, parse, pw);
+    EXPECT_EQ(flat.derivationLog2Prob(parse), flat.log2Prob(pw)) << pw;
   }
 }
 
@@ -784,27 +825,91 @@ TEST(ArtifactGolden, EncodingMatchesCheckedInFixture) {
   EXPECT_EQ(compileArtifact(smallGrammar()), onDisk);
 
   const auto artifact = GrammarArtifact::open(path);
-  EXPECT_EQ(artifact->grammar().log2Prob("password1"),
-            smallGrammar().log2Prob("password1"));
+  // log2 of the Fig. 11-style product for password1: B8B1, password, the
+  // fallback "1", every transformation No (0.0782945 in `fuzzypsm explain`).
+  EXPECT_NEAR(artifact->grammar().log2Prob("password1"), -3.67495, 1e-5);
+}
+
+// The first 64 draws of Rng(21) from the golden grammar: each table draws
+// by count descending, then form, so a seed draws the same passwords from
+// any build of the same grammar. The list was recorded before sampling
+// moved onto the view; a change that moves it on purpose re-records it
+// and says why.
+TEST(ArtifactGolden, SampleStreamMatchesRecordedDraws) {
+  const auto artifact = GrammarArtifact::open(
+      std::string(FPSM_TEST_DATA_DIR) + "/golden_small.fpsmb");
+  const std::vector<std::string> expected = {
+      "pa$sword!", "passw0rd!", "password!", "password!", "m0nkey2020",
+      "Monkey2020", "123Abc", "123abc", "p@ssword1", "monkey99", "passw0rd1",
+      "dragon99", "password1", "shadow1", "pas$word1", "p@ssword1",
+      "p@ssw0rd!", "monkey1", "123abc", "monkey1", "shadow99", "yeknom99",
+      "dr@gon99", "p@ssword1", "123abc", "dragon!", "monkey1", "password!",
+      "m0nkey99", "p@ssword!", "monkey99", "password1", "password!",
+      "drowssap1", "passw0rd1", "password1", "Monkey2020", "monkey!",
+      "monkey2020", "m0nkey2020", "shadow99", "password1", "p@ssw0rd",
+      "$had0w1", "pas$word1", "passw0rd", "password!", "m0nkey!", "password1",
+      "monkey!", "password", "monkey1", "dragon99", "passw0rd!", "password!",
+      "password1", "abc123", "monkey!", "passw0rd1", "dragon99", "password1",
+      "monkey1", "password1", "monk3y1"};
+  Rng rng(21);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(artifact->grammar().sample(rng), expected[i]) << "draw " << i;
+  }
 }
 #endif
+
+// The sampler builds its draw order on the first call. Four threads make
+// that call at once on a freshly opened view; each must draw exactly what
+// a single-threaded run with its seed draws.
+TEST(ArtifactSample, ConcurrentFirstDrawsMatchSerial) {
+  const Bytes bytes = compileArtifact(smallGrammar());
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 200;
+  const auto drawsOf = [](const FlatGrammarView& g, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::string> out;
+    for (int i = 0; i < kDraws; ++i) out.push_back(g.sample(rng));
+    return out;
+  };
+  std::vector<std::vector<std::string>> serial;
+  {
+    const auto artifact = GrammarArtifact::fromBytes(bytes);
+    for (int t = 0; t < kThreads; ++t) {
+      serial.push_back(drawsOf(artifact->grammar(), 100 + t));
+    }
+  }
+  const auto shared = GrammarArtifact::fromBytes(bytes);
+  std::vector<std::vector<std::string>> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      concurrent[static_cast<std::size_t>(t)] =
+          drawsOf(shared->grammar(), 100 + t);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(concurrent, serial);
+}
 
 // --------------------------------------------------------- serve integration
 
 TEST(ArtifactServe, SnapshotFromArtifactScoresIdentically) {
-  const FuzzyPsm psm = smallGrammar();
-  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
+  const auto artifact =
+      GrammarArtifact::fromBytes(compileArtifact(smallGrammar()));
   const auto snap = GrammarSnapshot::fromArtifact(artifact, 7);
   EXPECT_EQ(snap->generation(), 7u);
-  EXPECT_EQ(snap->log2Prob("password1"), psm.log2Prob("password1"));
+  EXPECT_EQ(snap->log2Prob("password1"),
+            artifact->grammar().log2Prob("password1"));
   EXPECT_EQ(snap->residentBytes(), artifact->sizeBytes());
 }
 
 TEST(ArtifactServe, MeterServiceColdStartsFromArtifact) {
-  const FuzzyPsm psm = smallGrammar();
-  MeterService service(GrammarArtifact::fromBytes(compileArtifact(psm)));
+  const auto artifact =
+      GrammarArtifact::fromBytes(compileArtifact(smallGrammar()));
+  MeterService service(artifact);
   EXPECT_EQ(service.generation(), 0u);
-  EXPECT_EQ(service.score("password1").bits, psm.strengthBits("password1"));
+  EXPECT_EQ(service.score("password1").bits,
+            artifact->grammar().strengthBits("password1"));
   EXPECT_GT(service.residentBytes(), 0u);
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "artifact/artifact.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_parse.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
@@ -16,6 +17,9 @@
 
 namespace fpsm {
 namespace {
+
+using test_grammar::compiled;
+using test_grammar::expectSameParse;
 
 FuzzyConfig mleConfig() {
   FuzzyConfig c;
@@ -168,15 +172,17 @@ TEST(FuzzyPsm, WorkedExampleProbability) {
   psm.update("p@ssword1", 2);
   psm.update("p@ssw0rd1", 1);
   psm.update("dragon", 1);
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& g = artifact->grammar();
 
   // Structures: B8B1 x9, B6 x1.
-  EXPECT_NEAR(psm.structures().probability("B8B1"), 0.9, 1e-12);
+  EXPECT_NEAR(g.structures().probability("B8B1"), 0.9, 1e-12);
   // B8 table: password x6, p@ssword x3.
-  const auto* b8 = psm.segmentTable(8);
+  const auto* b8 = g.segmentTable(8);
   ASSERT_NE(b8, nullptr);
   EXPECT_NEAR(b8->probability("p@ssword"), 3.0 / 9.0, 1e-12);
   // Capitalization never used: 0 of 19 segments.
-  EXPECT_EQ(psm.capitalizeYesProb(), 0.0);
+  EXPECT_EQ(g.capitalizeYesProb(), 0.0);
 
   // Leet sites per training occurrence (rule o<->0 is index 2):
   //   password1: a,s,s,o + 1        -> one 'o' site, untransformed
@@ -184,10 +190,10 @@ TEST(FuzzyPsm, WorkedExampleProbability) {
   //   p@ssw0rd1: @,s,s,0 + 1        -> one 'o' site, TRANSFORMED
   //   dragon:    a,o                -> one 'o' site, untransformed
   // Rule L3 (o<->0): 6 + 2 + 1 + 1 = 10 sites, 1 transformed.
-  EXPECT_NEAR(psm.leetYesProb(2), 0.1, 1e-12);
+  EXPECT_NEAR(g.leetYesProb(2), 0.1, 1e-12);
   // Rule L1 (a<->@): 10 sites (a in password x6, dragon x1; @ in the
   // p@ss forms x3), 0 transformed (the @ forms are base forms).
-  EXPECT_NEAR(psm.leetYesProb(0), 0.0, 1e-12);
+  EXPECT_NEAR(g.leetYesProb(0), 0.0, 1e-12);
 
   // Hand-computed probability of "p@ssw0rd1" (the paper's Fig. 11 shape):
   //   P(S->B8B1)=0.9, P(B8->p@ssword)=3/9, P(B1->1)=1,
@@ -195,33 +201,39 @@ TEST(FuzzyPsm, WorkedExampleProbability) {
   //   seg2: cap no (1.0), L4 no (1.0), all its sites untransformed
   const double expected =
       std::log2(0.9) + std::log2(3.0 / 9.0) + std::log2(0.1);
-  EXPECT_NEAR(psm.log2Prob("p@ssw0rd1"), expected, 1e-9);
+  EXPECT_NEAR(g.log2Prob("p@ssw0rd1"), expected, 1e-9);
 }
 
 TEST(FuzzyPsm, CapitalizationFactorsApply) {
   auto psm = paperishGrammar();
   psm.update("password1", 8);
   psm.update("Password1", 2);
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& g = artifact->grammar();
   // 20 segments total, 2 capitalized.
-  EXPECT_NEAR(psm.capitalizeYesProb(), 0.1, 1e-12);
+  EXPECT_NEAR(g.capitalizeYesProb(), 0.1, 1e-12);
   // P(Password1)/P(password1) = capYes/capNo (same base, same leet).
-  const double ratio =
-      psm.log2Prob("Password1") - psm.log2Prob("password1");
+  const double ratio = g.log2Prob("Password1") - g.log2Prob("password1");
   EXPECT_NEAR(ratio, std::log2(0.1 / 0.9), 1e-9);
 }
 
 TEST(FuzzyPsm, UnseenStructureOrSegmentIsZero) {
   auto psm = paperishGrammar();
   psm.update("password1", 5);
-  EXPECT_TRUE(std::isinf(psm.log2Prob("dragon")));        // B6 unseen
-  EXPECT_TRUE(std::isinf(psm.log2Prob("password12")));    // B8B2 unseen
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& g = artifact->grammar();
+  EXPECT_TRUE(std::isinf(g.log2Prob("dragon")));        // B6 unseen
+  EXPECT_TRUE(std::isinf(g.log2Prob("password12")));    // B8B2 unseen
 }
 
 TEST(FuzzyPsm, NotTrainedThrows) {
-  auto psm = paperishGrammar();
-  EXPECT_THROW(psm.log2Prob("password1"), NotTrained);
+  const auto artifact = compiled(paperishGrammar());
+  const FlatGrammarView& g = artifact->grammar();
+  EXPECT_THROW(g.log2Prob("password1"), NotTrained);
   Rng rng(1);
-  EXPECT_THROW(psm.sample(rng), NotTrained);
+  EXPECT_THROW(g.sample(rng), NotTrained);
+  const auto all = [](std::string_view, double) { return true; };
+  EXPECT_THROW(g.enumerateGuesses(1, all), NotTrained);
 }
 
 // ---------------------------------------------------------------- adaptivity
@@ -230,9 +242,9 @@ TEST(FuzzyPsm, UpdatePhaseIsAdaptive) {
   auto psm = paperishGrammar();
   psm.update("password1", 10);
   psm.update("dragon123", 1);
-  const double before = psm.log2Prob("dragon123");
+  const double before = compiled(psm)->grammar().log2Prob("dragon123");
   for (int i = 0; i < 30; ++i) psm.update("dragon123");
-  EXPECT_GT(psm.log2Prob("dragon123"), before);
+  EXPECT_GT(compiled(psm)->grammar().log2Prob("dragon123"), before);
 }
 
 TEST(FuzzyPsm, TrainMatchesRepeatedUpdate) {
@@ -243,9 +255,7 @@ TEST(FuzzyPsm, TrainMatchesRepeatedUpdate) {
   a.train(ds);
   auto b = paperishGrammar();
   ds.forEach([&](std::string_view pw, std::uint64_t c) { b.update(pw, c); });
-  for (const char* probe : {"password1", "Dragon99", "p@ssword1"}) {
-    EXPECT_DOUBLE_EQ(a.log2Prob(probe), b.log2Prob(probe)) << probe;
-  }
+  EXPECT_EQ(compileArtifact(a), compileArtifact(b));
   EXPECT_EQ(a.trainedPasswords(), 6u);
 }
 
@@ -259,10 +269,12 @@ TEST(FuzzyPsm, SampleScoresMatchDerivation) {
   psm.update("Password123", 5);
   psm.update("123qwe", 10);
   psm.update("dragon2", 3);
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& g = artifact->grammar();
   Rng rng(21);
   for (int i = 0; i < 300; ++i) {
-    const std::string s = psm.sample(rng);
-    EXPECT_TRUE(std::isfinite(psm.log2Prob(s))) << s;
+    const std::string s = g.sample(rng);
+    EXPECT_TRUE(std::isfinite(g.log2Prob(s))) << s;
   }
 }
 
@@ -270,14 +282,16 @@ TEST(FuzzyPsm, SampleEmpiricalMatchesModel) {
   auto psm = paperishGrammar();
   psm.update("password1", 9);
   psm.update("dragon", 1);
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& g = artifact->grammar();
   Rng rng(33);
   int hits = 0;
   constexpr int kDraws = 20000;
   for (int i = 0; i < kDraws; ++i) {
-    if (psm.sample(rng) == "password1") ++hits;
+    if (g.sample(rng) == "password1") ++hits;
   }
   EXPECT_NEAR(hits / static_cast<double>(kDraws),
-              std::exp2(psm.log2Prob("password1")), 0.02);
+              std::exp2(g.log2Prob("password1")), 0.02);
 }
 
 // --------------------------------------------------------------- enumeration
@@ -290,7 +304,9 @@ TEST(FuzzyPsm, EnumerationDecreasingAndScoreable) {
   psm.update("dragon99", 2);
   std::vector<std::string> guesses;
   std::vector<double> lps;
-  psm.enumerateGuesses(2000, [&](std::string_view g, double lp) {
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& grammar = artifact->grammar();
+  grammar.enumerateGuesses(2000, [&](std::string_view g, double lp) {
     guesses.emplace_back(g);
     lps.push_back(lp);
     return true;
@@ -317,7 +333,9 @@ TEST(FuzzyPsm, EnumerationIncludesTransformedVariants) {
   psm.update("password1", 20);
   psm.update("Password1", 1);  // make cap observable
   bool sawCap = false;
-  psm.enumerateGuesses(500, [&](std::string_view g, double) {
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& grammar = artifact->grammar();
+  grammar.enumerateGuesses(500, [&](std::string_view g, double) {
     if (g == "Password1") sawCap = true;
     return true;
   });
@@ -331,7 +349,8 @@ TEST(FuzzyPsm, EnumerationIncludesTransformedVariants) {
 // capitalized/leet/reversed variants, multi-segment concatenations, and
 // PCFG-fallback spans (the paper's tyxdqd123). Guards the equivalence when
 // either path is later optimized or cached independently (the serving
-// layer's score cache already relies on it).
+// layer's score cache already relies on it). The compiled grammar's flat
+// parse must also equal the builder's pointer-trie parse it counted with.
 TEST(FuzzyPsm, DifferentialDerivationEqualsLog2Prob) {
   FuzzyConfig cfg;
   cfg.matchReverse = true;  // widest rule set
@@ -363,10 +382,13 @@ TEST(FuzzyPsm, DifferentialDerivationEqualsLog2Prob) {
     probes.emplace_back(pw);
   }
 
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& g = artifact->grammar();
   for (const auto& pw : probes) {
-    const FuzzyParse parsed = psm.parse(pw);
-    const double viaDerivation = psm.derivationLog2Prob(parsed);
-    const double viaMeter = psm.log2Prob(pw);
+    const FuzzyParse parsed = g.parse(pw);
+    expectSameParse(parsed, psm.parse(pw), pw);
+    const double viaDerivation = g.derivationLog2Prob(parsed);
+    const double viaMeter = g.log2Prob(pw);
     // Exact equality: identical counts feed both computations.
     EXPECT_EQ(viaDerivation, viaMeter) << pw;
     // And the parse really is canonical: re-rendering its segments
@@ -387,17 +409,14 @@ TEST(FuzzyPsm, SaveLoadRoundTrip) {
   psm.update("password1", 6);
   psm.update("P@ssw0rd!", 2);
   psm.update("123qwe123qwe", 3);
-  const FuzzyPsm back = FuzzyPsm::fromArtifact(
-      *GrammarArtifact::fromBytes(compileArtifact(psm)));
+  const std::vector<std::byte> bytes = compileArtifact(psm);
+  const FuzzyPsm back =
+      FuzzyPsm::fromArtifact(*GrammarArtifact::fromBytes(bytes));
   EXPECT_EQ(back.trainedPasswords(), psm.trainedPasswords());
   EXPECT_EQ(back.baseDictionary().size(), psm.baseDictionary().size());
-  // EXPECT_EQ, not NEAR: the artifact carries the identical integer counts
-  // (covers -infinity too).
-  for (const char* probe :
-       {"password1", "P@ssw0rd!", "123qwe123qwe", "Password1",
-        "p@ssword1", "zzz"}) {
-    EXPECT_EQ(back.log2Prob(probe), psm.log2Prob(probe)) << probe;
-  }
+  // The artifact carries every count and the base-word order, so the
+  // rebuilt grammar compiles to the same bytes and scores identically.
+  EXPECT_EQ(compileArtifact(back), bytes);
 }
 
 TEST(FuzzyPsm, LoadRejectsGarbage) {

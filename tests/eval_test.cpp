@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "artifact/checksum.h"
 #include "eval/harness.h"
 #include "eval/render.h"
 #include "eval/scenario.h"
@@ -146,6 +150,66 @@ TEST(Harness, IdealMeterSelfCorrelationIsPerfect) {
   for (const auto& p : curve.kendall) {
     EXPECT_NEAR(p.value, 1.0, 1e-9) << "k=" << p.k;
   }
+}
+
+// ------------------------------------------------------------------- claims
+
+// The paper's league table (EXPERIMENTS.md, "Summary"): all 18 Table XI
+// scenarios at scale 0.001 with bench_summary_all's config. It asserts what
+// holds at that scale — fuzzyPSM leads and NIST-PSM trails both mean-tau
+// aggregates — and pins every Kendall tau point of every curve by an xxh64
+// over their bit patterns. A change that moves the digest on purpose
+// re-records it and says why.
+TEST(Claims, TableXiLeague) {
+  HarnessConfig cfg;
+  cfg.scale = 0.001;
+  cfg.chineseUsers = 100000;
+  cfg.englishUsers = 100000;
+  cfg.computeSpearman = false;
+  EvalHarness harness(cfg);
+
+  std::vector<std::string> meters;
+  std::vector<double> headSum;
+  std::vector<double> fullSum;
+  std::vector<std::uint64_t> tauBits;
+  for (const Scenario& sc : allScenarios()) {
+    const ScenarioResult r = harness.run(sc);
+    // The weak head is the last curve point within the reliable (f >= 4)
+    // prefix, as bench_summary_all and renderScenarioSummary pick it.
+    std::size_t head = 0;
+    const auto& pts = r.curves.front().kendall;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      if (pts[i].k <= std::max<std::size_t>(r.reliableCount, 10)) head = i;
+    }
+    if (meters.empty()) {
+      for (const MeterCurve& c : r.curves) meters.push_back(c.meter);
+      headSum.assign(meters.size(), 0.0);
+      fullSum.assign(meters.size(), 0.0);
+    }
+    ASSERT_EQ(r.curves.size(), meters.size()) << sc.id;
+    for (std::size_t m = 0; m < r.curves.size(); ++m) {
+      ASSERT_EQ(r.curves[m].meter, meters[m]) << sc.id;
+      headSum[m] += r.curves[m].kendall[head].value;
+      fullSum[m] += r.curves[m].kendall.back().value;
+      for (const CurvePoint& p : r.curves[m].kendall) {
+        tauBits.push_back(std::bit_cast<std::uint64_t>(p.value));
+      }
+    }
+  }
+
+  const auto nameOf = [&](const std::vector<double>& sums, bool best) {
+    const auto it = best ? std::max_element(sums.begin(), sums.end())
+                         : std::min_element(sums.begin(), sums.end());
+    return meters[static_cast<std::size_t>(it - sums.begin())];
+  };
+  EXPECT_EQ(nameOf(headSum, true), "fuzzyPSM");
+  EXPECT_EQ(nameOf(fullSum, true), "fuzzyPSM");
+  EXPECT_EQ(nameOf(headSum, false), "NIST-PSM");
+  EXPECT_EQ(nameOf(fullSum, false), "NIST-PSM");
+
+  EXPECT_EQ(xxhash64(tauBits.data(), tauBits.size() * sizeof(std::uint64_t)),
+            0xbeb6e6702309dd12ULL)
+      << "Kendall tau digest over " << tauBits.size() << " points";
 }
 
 TEST(Harness, CorrelationRequiresEnoughPasswords) {

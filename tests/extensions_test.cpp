@@ -9,7 +9,8 @@
 #include <string>
 
 #include "artifact/artifact.h"
-#include "core/explain.h"
+#include "artifact/explain.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "core/suggest.h"
 #include "corpus/dataset.h"
@@ -24,6 +25,8 @@
 
 namespace fpsm {
 namespace {
+
+using test_grammar::compiled;
 
 // ------------------------------------------------------------ reverse rule
 
@@ -67,15 +70,17 @@ TEST(ReverseRule, ProbabilityAccountsForReverseRule) {
   psm.addBaseWord("dragon");
   psm.update("password", 9);
   psm.update("drowssap", 1);
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& g = artifact->grammar();
   // 10 segments, 1 reversed: P(Rev->Yes) = 0.1.
-  EXPECT_NEAR(psm.reverseYesProb(), 0.1, 1e-12);
+  EXPECT_NEAR(g.reverseYesProb(), 0.1, 1e-12);
   // P(drowssap) = P(B8) * P(B8->password) * P(cap No) * P(Rev Yes) *
   //               leet-No factors (all 1 at MLE since no leet observed).
   const double expected = std::log2(1.0) + std::log2(1.0) +
                           std::log2(1.0) + std::log2(0.1);
-  EXPECT_NEAR(psm.log2Prob("drowssap"), expected, 1e-9);
+  EXPECT_NEAR(g.log2Prob("drowssap"), expected, 1e-9);
   // The forward form carries the complementary factor.
-  EXPECT_NEAR(psm.log2Prob("password"), std::log2(0.9), 1e-9);
+  EXPECT_NEAR(g.log2Prob("password"), std::log2(0.9), 1e-9);
 }
 
 TEST(ReverseRule, RenderSegmentReverses) {
@@ -106,13 +111,15 @@ TEST(ReverseRule, SampleAndEnumerateStayConsistent) {
   psm.update("password1", 10);
   psm.update("drowssap", 3);
   psm.update("dragon99", 5);
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& grammar = artifact->grammar();
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
-    const std::string s = psm.sample(rng);
-    EXPECT_TRUE(std::isfinite(psm.log2Prob(s))) << s;
+    const std::string s = grammar.sample(rng);
+    EXPECT_TRUE(std::isfinite(grammar.log2Prob(s))) << s;
   }
   bool sawReversed = false;
-  psm.enumerateGuesses(300, [&](std::string_view g, double lp) {
+  grammar.enumerateGuesses(300, [&](std::string_view g, double lp) {
     EXPECT_TRUE(std::isfinite(lp));
     if (g == "drowssap") sawReversed = true;
     return true;
@@ -125,16 +132,17 @@ TEST(ReverseRule, SerializationRoundTrip) {
   psm.addBaseWord("password");
   psm.update("drowssap", 2);
   psm.update("password1", 5);
-  const auto artifact = GrammarArtifact::fromBytes(compileArtifact(psm));
+  const std::vector<std::byte> bytes = compileArtifact(psm);
+  const auto artifact = GrammarArtifact::fromBytes(bytes);
   const FuzzyPsm back = FuzzyPsm::fromArtifact(*artifact);
   EXPECT_TRUE(back.config().matchReverse);
-  EXPECT_EQ(back.reverseYesProb(), psm.reverseYesProb());
-  for (const char* probe : {"drowssap", "password1", "password"}) {
-    EXPECT_EQ(back.log2Prob(probe), psm.log2Prob(probe)) << probe;
-    // The zero-copy view scores the reverse rule identically too.
-    EXPECT_EQ(artifact->grammar().log2Prob(probe), psm.log2Prob(probe))
-        << probe;
-  }
+  EXPECT_EQ(back.counts().revYes(), psm.counts().revYes());
+  EXPECT_EQ(back.counts().revTotal(), psm.counts().revTotal());
+  // The reversed-word trie is rebuilt too: the round trip compiles to the
+  // same bytes, and the view parses reversed words.
+  EXPECT_EQ(compileArtifact(back), bytes);
+  EXPECT_TRUE(artifact->grammar().parse("drowssap").segments[0].reversed);
+  EXPECT_TRUE(std::isfinite(artifact->grammar().log2Prob("drowssap")));
 }
 
 // -------------------------------------------------------------- suggestion
@@ -161,7 +169,8 @@ TEST(Suggest, StrengthensWeakPasswordWithinBudget) {
   Rng rng(5);
   SuggestionConfig cfg;
   cfg.targetBits = 30.0;
-  const auto s = suggestStrongerPassword(psm, "password1", cfg, rng);
+  const auto s =
+      suggestStrongerPassword(compiled(psm)->grammar(), "password1", cfg, rng);
   ASSERT_TRUE(s.has_value());
   EXPECT_GE(s->bits, 30.0);
   EXPECT_GE(s->edits, 1);
@@ -240,16 +249,18 @@ TEST(Explain, StepsMultiplyToTheScore) {
   psm.update("password1", 6);
   psm.update("P@ssw0rd1", 2);
   psm.update("dragon99", 3);
+  const auto artifact = compiled(psm);
+  const FlatGrammarView& grammar = artifact->grammar();
   for (const char* pw :
        {"password1", "P@ssw0rd1", "dragon99", "Password1", "p@ssword1"}) {
-    const auto ex = explainDerivation(psm, pw);
+    const auto ex = explainDerivation(grammar, pw);
     double manual = 0.0;
     bool zero = false;
     for (const auto& step : ex.steps) {
       if (step.probability <= 0.0) zero = true;
       else manual += std::log2(step.probability);
     }
-    const double scored = psm.log2Prob(pw);
+    const double scored = grammar.log2Prob(pw);
     if (zero || std::isinf(scored)) {
       EXPECT_TRUE(std::isinf(ex.log2Probability)) << pw;
       EXPECT_TRUE(std::isinf(scored)) << pw;
@@ -264,7 +275,7 @@ TEST(Explain, RenderShowsProductions) {
   FuzzyPsm psm;
   psm.addBaseWord("password");
   psm.update("p@ssw0rd1", 1);
-  const auto ex = explainDerivation(psm, "p@ssw0rd1");
+  const auto ex = explainDerivation(compiled(psm)->grammar(), "p@ssw0rd1");
   const std::string text = ex.render();
   EXPECT_NE(text.find("S -> B8B1"), std::string::npos);
   // Base word is "password": the @ and 0 are leet transformations.
@@ -281,10 +292,12 @@ TEST(Explain, ReverseRuleStepAppearsWhenEnabled) {
   psm.addBaseWord("password");
   psm.update("drowssap", 1);
   psm.update("password", 1);
-  const auto ex = explainDerivation(psm, "drowssap");
+  const auto artifact = compiled(psm);
+  const auto ex = explainDerivation(artifact->grammar(), "drowssap");
   const std::string text = ex.render();
   EXPECT_NE(text.find("Reverse -> Yes"), std::string::npos);
-  EXPECT_NEAR(ex.log2Probability, psm.log2Prob("drowssap"), 1e-9);
+  EXPECT_NEAR(ex.log2Probability, artifact->grammar().log2Prob("drowssap"),
+              1e-9);
 }
 
 // ------------------------------------------------------------------- textio

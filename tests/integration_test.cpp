@@ -12,11 +12,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "artifact/artifact.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "core/suggest.h"
 #include "corpus/dataset.h"
@@ -31,6 +34,8 @@
 
 namespace fpsm {
 namespace {
+
+using test_grammar::compiled;
 
 /// A random small corpus: structured strings, skewed counts.
 Dataset randomCorpus(std::uint64_t seed, int entries) {
@@ -54,14 +59,15 @@ class ModelFamilyProperty : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(ModelFamilyProperty, EnumeratedMassIsAtMostOneAndOrdered) {
   const Dataset corpus = randomCorpus(GetParam(), 60);
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(corpus);
-  fuzzy.train(corpus);
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(corpus);
+  builder.train(corpus);
+  const auto fuzzy = compiled(builder);
   PcfgModel pcfg;
   pcfg.train(corpus);
   IdealMeter ideal(corpus);
 
-  const ProbabilisticModel* models[] = {&fuzzy, &pcfg, &ideal};
+  const ProbabilisticModel* models[] = {&fuzzy->grammar(), &pcfg, &ideal};
   for (const ProbabilisticModel* m : models) {
     double mass = 0.0;
     double prev = 1.0;  // log2 cannot exceed 0
@@ -80,16 +86,17 @@ TEST_P(ModelFamilyProperty, EnumeratedMassIsAtMostOneAndOrdered) {
 
 TEST_P(ModelFamilyProperty, SamplesAreScoreableAcrossModels) {
   const Dataset corpus = randomCorpus(GetParam() + 100, 50);
-  FuzzyPsm fuzzy;
-  fuzzy.loadBaseDictionary(corpus);
-  fuzzy.train(corpus);
+  FuzzyPsm builder;
+  builder.loadBaseDictionary(corpus);
+  builder.train(corpus);
+  const auto fuzzy = compiled(builder);
   PcfgModel pcfg;
   pcfg.train(corpus);
   MarkovModel markov;
   markov.train(corpus);
 
   Rng rng(GetParam());
-  const ProbabilisticModel* models[] = {&fuzzy, &pcfg, &markov};
+  const ProbabilisticModel* models[] = {&fuzzy->grammar(), &pcfg, &markov};
   for (const ProbabilisticModel* m : models) {
     for (int i = 0; i < 100; ++i) {
       const std::string s = m->sample(rng);
@@ -129,9 +136,18 @@ TEST(Pipeline, GenerateTrainSerializeMeasureSuggestCrack) {
   psm.loadBaseDictionary(base);
   psm.train(training);
 
-  // Compile to an artifact, read it back, and keep working with the clone.
-  const FuzzyPsm clone = FuzzyPsm::fromArtifact(
-      *GrammarArtifact::fromBytes(compileArtifact(psm)));
+  // Compile to an artifact, write it out, map it back, and work with the
+  // mapped grammar, as a server would.
+  const std::string path = testing::TempDir() + "pipeline_grammar.fpsmb";
+  {
+    const std::vector<std::byte> bytes = compileArtifact(psm);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  const auto artifact = GrammarArtifact::open(path);
+  const FlatGrammarView& clone = artifact->grammar();
 
   // Measure: the training head must be weak, a random string strong.
   const auto head = training.sortedByFrequency().front().password;
@@ -160,6 +176,7 @@ TEST(Pipeline, GenerateTrainSerializeMeasureSuggestCrack) {
   });
   EXPECT_TRUE(cracked);
   EXPECT_LE(position, 10u);
+  std::remove(path.c_str());
 }
 
 TEST(Pipeline, DatasetFileRoundTripThroughRealCorpus) {
@@ -184,8 +201,9 @@ TEST(Pipeline, DeterministicAcrossRuns) {
     FuzzyPsm psm;
     psm.loadBaseDictionary(training);
     psm.train(training);
+    const auto artifact = compiled(psm);
     std::vector<std::string> guesses;
-    psm.enumerateGuesses(20, [&](std::string_view g, double) {
+    artifact->grammar().enumerateGuesses(20, [&](std::string_view g, double) {
       guesses.emplace_back(g);
       return true;
     });

@@ -40,6 +40,7 @@
 #include "artifact/artifact.h"
 #include "artifact/checksum.h"
 #include "artifact_tamper.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
 #include "corpus/dataset_reader.h"
@@ -56,6 +57,8 @@ namespace fpsm {
 namespace {
 
 using Bytes = std::vector<std::byte>;
+using test_grammar::bootstrapped;
+using test_grammar::compiled;
 
 // --------------------------------------------------------------- helpers
 
@@ -554,20 +557,22 @@ TEST(OnlineUpdater, BootstrapServesTheTrainedGrammar) {
   const std::string dir = scratchDir("bootstrap");
   FuzzyPsm seed = fixtureBase();
   seed.train(fixtureDataset("online_corpus.txt"));
-  auto updater = OnlineUpdater::bootstrap(seed, dir);
+  auto updater = bootstrapped(seed, dir);
   EXPECT_EQ(updater->log().entries().size(), 1u);
   EXPECT_EQ(updater->stats().lastSequence, 1u);
-  // Serving from the compiled artifact is bit-identical to the grammar.
+  // Serving from the committed generation is bit-identical to the
+  // compiled grammar.
+  const auto artifact = compiled(seed);
   for (const char* probe : {"password1", "qwerty12", "tyxdqd123", "zzzzzz"}) {
     EXPECT_EQ(updater->service().score(probe).bits,
-              seed.strengthBits(probe))
+              artifact->grammar().strengthBits(probe))
         << probe;
   }
   // A second bootstrap on a non-empty log is a usage error.
-  EXPECT_THROW((void)OnlineUpdater::bootstrap(seed, dir), InvalidArgument);
+  EXPECT_THROW((void)bootstrapped(seed, dir), InvalidArgument);
   // An untrained grammar cannot bootstrap.
   EXPECT_THROW(
-      (void)OnlineUpdater::bootstrap(fixtureBase(), scratchDir("untrained")),
+      (void)bootstrapped(fixtureBase(), scratchDir("untrained")),
       NotTrained);
 }
 
@@ -575,7 +580,7 @@ TEST(OnlineUpdater, AcceptValidatesAndCoalesces) {
   const std::string dir = scratchDir("acceptval");
   FuzzyPsm seed = fixtureBase();
   seed.train(fixtureDataset("online_corpus.txt"));
-  auto updater = OnlineUpdater::bootstrap(seed, dir);
+  auto updater = bootstrapped(seed, dir);
   EXPECT_THROW(updater->accept(""), InvalidArgument);
   EXPECT_THROW(updater->accept(std::string("bad\x01pw")), InvalidArgument);
   updater->accept("password1", 0);  // explicit no-op
@@ -619,7 +624,7 @@ TEST(OnlineUpdater, OverflowingCompactionRollsBack) {
   FuzzyPsm seed;
   seed.update("12345", 2);
   seed.update("qwerty", ~std::uint64_t{0} - (std::uint64_t{1} << 31) + 1);
-  auto updater = OnlineUpdater::bootstrap(seed, dir);
+  auto updater = bootstrapped(seed, dir);
   const double before = updater->service().score("12345").bits;
 
   // One admitted call takes those totals past 2^64. Unchecked, the merge
@@ -657,7 +662,7 @@ TEST(OnlineUpdater, GateRunsOncePerServedGeneration) {
   OnlineUpdaterConfig cfg;
   cfg.publishGate = [calls](const FlatGrammarView&) { ++*calls; };
 
-  auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
+  auto updater = bootstrapped(seed, dir, cfg);
   EXPECT_EQ(*calls, 1u) << "bootstrap gates generation 1 once";
   EXPECT_FALSE(updater->compactNow().published);
   EXPECT_EQ(*calls, 1u) << "a compaction that drains nothing gates nothing";
@@ -684,7 +689,7 @@ TEST(OnlineUpdater, ResumeRecordsOneSpanPerStagePerCandidate) {
   {
     FuzzyPsm seed = fixtureBase();
     seed.train(fixtureDataset("online_corpus.txt"));
-    auto updater = OnlineUpdater::bootstrap(seed, dir);
+    auto updater = bootstrapped(seed, dir);
   }
   const auto samples = [] {
     const auto snap = obs::snapshot();
@@ -754,7 +759,7 @@ TEST(OnlineUpdater, OnlineRunMatchesBatchRetrainByteIdentically) {
     seed.train(fixtureDataset("online_corpus.txt"));
     OnlineUpdaterConfig cfg;
     cfg.compactionThreads = v.threads;
-    auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
+    auto updater = bootstrapped(seed, dir, cfg);
     const std::uint64_t lastSeq = driveFixtureStream(*updater, v.chunk);
     ASSERT_GT(lastSeq, 1u);
     const Bytes actual = readFileBytes(updater->log().pathFor(lastSeq));
@@ -763,9 +768,10 @@ TEST(OnlineUpdater, OnlineRunMatchesBatchRetrainByteIdentically) {
               0)
         << "online final artifact diverged from batch retrain";
     // And the served scores equal the batch grammar's scores.
+    const auto batchArtifact = compiled(batch);
     for (const char* probe : {"password1", "dragon123", "zzzzzz", "abc123"}) {
       EXPECT_EQ(updater->service().score(probe).bits,
-                batch.strengthBits(probe))
+                batchArtifact->grammar().strengthBits(probe))
           << probe;
     }
   }
@@ -778,7 +784,7 @@ TEST(OnlineUpdater, GoldenFinalArtifactDigestIsPinned) {
   seed.train(fixtureDataset("online_corpus.txt"));
   OnlineUpdaterConfig cfg;
   cfg.compactionThreads = 1;
-  auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
+  auto updater = bootstrapped(seed, dir, cfg);
   const std::uint64_t lastSeq = driveFixtureStream(*updater, 3);
   const std::string digest =
       hexDigest(readFileBytes(updater->log().pathFor(lastSeq)));
@@ -824,12 +830,12 @@ TEST(OnlineUpdater, CompactionAllocationsFollowTheBatchNotTheGrammar) {
   const FuzzyPsm seed = sizedGrammar(12000);
   const std::size_t baseWords = seed.baseWords().size();
   std::size_t tableEntries = seed.structures().distinct();
-  for (const std::size_t len : seed.segmentLengths()) {
+  for (const std::size_t len : seed.counts().segmentLengths()) {
     tableEntries += seed.segmentTable(len)->distinct();
   }
   ASSERT_GE(baseWords, 10000u);
   ASSERT_GE(tableEntries, 10000u);
-  (void)OnlineUpdater::bootstrap(seed, dir);
+  (void)bootstrapped(seed, dir);
 
   OnlineUpdaterConfig cfg;
   cfg.compactionThreads = 1;  // the parse runs on this thread and is counted
@@ -862,7 +868,7 @@ TEST(OnlineUpdater, ResumeAfterCrashServesLastGoodGeneration) {
   {
     FuzzyPsm seed = fixtureBase();
     seed.train(fixtureDataset("online_corpus.txt"));
-    auto updater = OnlineUpdater::bootstrap(seed, dir);
+    auto updater = bootstrapped(seed, dir);
     for (const auto& p : probes) {
       gen1Bits.push_back(updater->service().score(p).bits);
     }
@@ -900,7 +906,7 @@ TEST(OnlineUpdater, ResumeSkipsCommittedButUnloadableGeneration) {
   {
     FuzzyPsm seed = fixtureBase();
     seed.train(fixtureDataset("online_corpus.txt"));
-    auto updater = OnlineUpdater::bootstrap(seed, dir);
+    auto updater = bootstrapped(seed, dir);
   }
   {
     // A generation whose bytes checksum fine in the log but are not a
@@ -951,7 +957,7 @@ TEST(OnlineUpdater, LintRejectedGenerationRollsBackWithoutServingGap) {
   cfg.publishGate = [candidates](const FlatGrammarView& grammar) {
     if ((*candidates)++ > 0) rejectEveryCandidate(grammar);
   };
-  auto updater = OnlineUpdater::bootstrap(seed, dir, cfg);
+  auto updater = bootstrapped(seed, dir, cfg);
 
   const std::vector<std::string> probes = {"password1", "dragon123",
                                            "qwerty12", "zzzzzz"};
@@ -1042,7 +1048,7 @@ TEST(OnlineUpdater, DriftStressAdaptsMonotonicallyUnderConcurrentReaders) {
   corpus.add("monkey!", 10);
   seed.train(corpus);
 
-  auto updater = OnlineUpdater::bootstrap(seed, dir);
+  auto updater = bootstrapped(seed, dir);
 
   const std::string drifted = "Dr@gon2026";  // reuse+modification family
   const std::vector<std::string> probes = {"password1", "123456", drifted,
@@ -1117,7 +1123,7 @@ TEST(OnlineUpdater, BackgroundCompactorPublishesUnderLoad) {
   const std::string dir = scratchDir("background");
   FuzzyPsm seed = fixtureBase();
   seed.train(fixtureDataset("online_corpus.txt"));
-  auto updater = OnlineUpdater::bootstrap(seed, dir);
+  auto updater = bootstrapped(seed, dir);
 
   // The updater starts no thread; this test owns the background compactor:
   // one thread runs compactNow() in a loop while two writers accept and a
@@ -1163,9 +1169,10 @@ TEST(OnlineUpdater, BackgroundCompactorPublishesUnderLoad) {
   all.add("password1", 200);
   all.add("dragon123", 200);
   oracle.train(all);
+  const auto oracleArtifact = compiled(oracle);
   for (const char* probe : {"password1", "dragon123", "qwerty12"}) {
     EXPECT_EQ(updater->service().score(probe).bits,
-              oracle.strengthBits(probe))
+              oracleArtifact->grammar().strengthBits(probe))
         << probe;
   }
 }

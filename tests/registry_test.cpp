@@ -39,6 +39,7 @@
 
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "online/online_updater.h"
 #include "registry/grammar_registry.h"
@@ -113,6 +114,13 @@ std::vector<std::byte> tenantArtifact(int variant) {
   return compileArtifact(tenantGrammar(variant));
 }
 
+/// Registers `psm` under `tenant` as the bytes it compiles to.
+void addCompiled(GrammarRegistry& registry, const std::string& tenant,
+                 const FuzzyPsm& psm) {
+  const std::vector<std::byte> bytes = compileArtifact(psm);
+  registry.addTenant(tenant, bytes.data(), bytes.size());
+}
+
 /// Standalone single-grammar oracle over the exact same artifact bytes.
 std::unique_ptr<MeterService> standaloneService(
     const std::vector<std::byte>& bytes) {
@@ -177,7 +185,7 @@ TEST(GrammarRegistryTest, AddTenantRunsTheTrustGateBeforeTheAppend) {
   dangling.addParse(FuzzyParse{{}, "B77B77"}, 2, false);
   bad.absorbCounts(dangling);
   try {
-    registry.addTenant("acme", bad);
+    addCompiled(registry, "acme", bad);
     FAIL() << "expected GrammarLintError";
   } catch (const GrammarLintError& e) {
     EXPECT_TRUE(e.report().has(LintCode::DanglingSegmentRef))
@@ -302,8 +310,8 @@ TEST(GrammarRegistryTest, DifferentialHoldsAfterEvictReloadAndCompaction) {
   std::vector<std::unique_ptr<OnlineUpdater>> oracles;
   for (int v = 0; v < 3; ++v) {
     const FuzzyPsm trained = tenantGrammar(v);
-    registry.addTenant(ids[v], trained);
-    oracles.push_back(OnlineUpdater::bootstrap(
+    addCompiled(registry, ids[v], trained);
+    oracles.push_back(test_grammar::bootstrapped(
         trained, scratchDir(("oracle_" + ids[v]).c_str())));
   }
 
@@ -416,11 +424,11 @@ TEST(GrammarRegistryTest, EvictionFlushesPendingUpdatesToTheLog) {
   cfg.rootDir = scratchDir("flush");
   GrammarRegistry registry(cfg);
   const FuzzyPsm trained = tenantGrammar(1);
-  registry.addTenant("en", trained);
+  addCompiled(registry, "en", trained);
 
   // Oracle: same grammar, same single update, explicit compaction.
   const auto oracle =
-      OnlineUpdater::bootstrap(trained, scratchDir("flush_oracle"));
+      test_grammar::bootstrapped(trained, scratchDir("flush_oracle"));
   registry.update("en", "freshword9", 4);
   oracle->accept("freshword9", 4);
   ASSERT_TRUE(oracle->compactNow().published);
@@ -459,7 +467,7 @@ TEST(GrammarRegistryTest, CompactionInFlightBarsEviction) {
     gateCv.wait(lock, [&] { return release; });
   };
   GrammarRegistry registry(cfg);
-  registry.addTenant("acme", tenantGrammar(0));
+  addCompiled(registry, "acme", tenantGrammar(0));
   registry.loadTenant("acme");
   registry.update("acme", "newtrend1", 3);
 
@@ -558,8 +566,8 @@ TEST(GrammarRegistryTest, TenantInfoAndStatsReportTraffic) {
   GrammarRegistryConfig cfg;
   cfg.rootDir = scratchDir("info");
   GrammarRegistry registry(cfg);
-  registry.addTenant("zh", tenantGrammar(0));
-  registry.addTenant("en", tenantGrammar(1));
+  addCompiled(registry, "zh", tenantGrammar(0));
+  addCompiled(registry, "en", tenantGrammar(1));
 
   (void)registry.score("zh", "woaini1314");
   (void)registry.score("zh", "woaini1314");  // second hit -> cache
@@ -595,7 +603,7 @@ TEST(GrammarRegistryTest, OversizedUpdateCountsAreRejectedAndNotCounted) {
   GrammarRegistryConfig cfg;
   cfg.rootDir = scratchDir("countbound");
   GrammarRegistry registry(cfg);
-  registry.addTenant("zh", tenantGrammar(0));
+  addCompiled(registry, "zh", tenantGrammar(0));
   const auto before = registry.score("zh", "123456");
 
   // Folded, these two counts would dwarf the trained corpus and move the

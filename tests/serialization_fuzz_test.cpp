@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "artifact/artifact.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "corpus/dataset.h"
 #include "meters/markov/markov.h"
@@ -177,6 +178,8 @@ TEST(SerializationRoundTrip, ScoresAgreeOnRandomPasswords) {
   Rng rng(99);
   const FuzzyPsm psm = randomTrainedGrammar(rng);
   const FuzzyPsm back = reloaded(compileArtifact(psm));
+  const auto served = test_grammar::compiled(psm);
+  const auto reserved = test_grammar::compiled(back);
 
   // 1k probes drawn from the same generator family as training (plus raw
   // random strings), so both in-grammar and zero-probability paths hit.
@@ -188,10 +191,12 @@ TEST(SerializationRoundTrip, ScoresAgreeOnRandomPasswords) {
     for (std::size_t c = 0; c < len; ++c) {
       pw.push_back(alphabet[rng.below(alphabet.size())]);
     }
-    // EXPECT_EQ, not NEAR: fromArtifact reconstructs the identical integer
-    // counts, so the float computation must be bit-for-bit the same (covers
-    // the -infinity case too).
-    EXPECT_EQ(back.log2Prob(pw), psm.log2Prob(pw)) << pw;
+    // The rebuilt tries parse alike, and the rebuilt grammar scores alike:
+    // EXPECT_EQ, not NEAR, since fromArtifact reconstructs the identical
+    // integer counts (covers the -infinity case too).
+    test_grammar::expectSameParse(back.parse(pw), psm.parse(pw), pw);
+    EXPECT_EQ(reserved->grammar().log2Prob(pw), served->grammar().log2Prob(pw))
+        << pw;
   }
 }
 

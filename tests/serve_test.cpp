@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "artifact/artifact.h"
+#include "compiled_grammar.h"
 #include "core/fuzzy_psm.h"
 #include "serve/grammar_snapshot.h"
 #include "serve/score_cache.h"
@@ -91,9 +92,10 @@ Replay replaySchedule(const std::vector<UpdateQueue::Batch>& schedule) {
   Replay replay;
   auto record = [&] {
     replay.artifacts.push_back(artifactOf(replica));
+    const FlatGrammarView& grammar = replay.artifacts.back()->grammar();
     std::vector<double> bits;
     bits.reserve(probes().size());
-    for (const auto& p : probes()) bits.push_back(replica.strengthBits(p));
+    for (const auto& p : probes()) bits.push_back(grammar.strengthBits(p));
     replay.oracle.push_back(std::move(bits));
   };
   record();  // generation 0
@@ -363,10 +365,11 @@ TEST(GrammarSnapshotTest, FrozenCopyIsImmutableUnderUpdates) {
 TEST(GrammarSnapshotTest, MatchesUnderlyingGrammarExactly) {
   const FuzzyPsm psm = seedGrammar();
   const auto snap = GrammarSnapshot::fromArtifact(artifactOf(psm), 7);
+  const auto oracle = artifactOf(psm);
   EXPECT_EQ(snap->generation(), 7u);
   for (const auto& p : probes()) {
-    EXPECT_EQ(snap->log2Prob(p), psm.log2Prob(p)) << p;
-    EXPECT_EQ(snap->parse(p).structure, psm.parse(p).structure) << p;
+    EXPECT_EQ(snap->log2Prob(p), oracle->grammar().log2Prob(p)) << p;
+    test_grammar::expectSameParse(snap->parse(p), psm.parse(p), p);
   }
 }
 
@@ -380,10 +383,10 @@ TEST(MeterServiceTest, RequiresTrainedGrammar) {
 
 TEST(MeterServiceTest, ScoreMatchesGrammarAndCacheHitsAgree) {
   MeterService service(artifactOf(seedGrammar()));
-  const FuzzyPsm replica = seedGrammar();
+  const auto replica = artifactOf(seedGrammar());
   for (const auto& p : probes()) {
     const auto first = service.score(p);
-    EXPECT_EQ(first.bits, replica.strengthBits(p)) << p;
+    EXPECT_EQ(first.bits, replica->grammar().strengthBits(p)) << p;
     EXPECT_EQ(first.generation, 0u);
     EXPECT_FALSE(first.fromCache);
     const auto second = service.score(p);
@@ -401,12 +404,13 @@ TEST(MeterServiceTest, PublishInvalidatesCachedScores) {
 
   FuzzyPsm replica = seedGrammar();
   replica.update("password1", 100);
-  service.publishFromArtifact(artifactOf(replica));
+  const auto published = artifactOf(replica);
+  service.publishFromArtifact(published);
 
   const auto fresh = service.score("password1");
   EXPECT_FALSE(fresh.fromCache);  // stale entry evicted, not served
   EXPECT_EQ(fresh.generation, 1u);
-  EXPECT_EQ(fresh.bits, replica.strengthBits("password1"));
+  EXPECT_EQ(fresh.bits, published->grammar().strengthBits("password1"));
   EXPECT_NE(fresh.bits, cold.bits);
   EXPECT_GT(service.stats().cache.staleEvictions, 0u);
 }
@@ -418,10 +422,11 @@ TEST(MeterServiceTest, BatchSharesOneGenerationAndMatchesSingles) {
   // batches must still honor the requested fan-out.
   const auto batch = service.scoreBatch(pws, 4);
   ASSERT_EQ(batch.size(), pws.size());
-  const FuzzyPsm replica = seedGrammar();
+  const auto replica = artifactOf(seedGrammar());
   for (std::size_t i = 0; i < pws.size(); ++i) {
     EXPECT_EQ(batch[i].generation, 0u);
-    EXPECT_EQ(batch[i].bits, replica.strengthBits(pws[i])) << pws[i];
+    EXPECT_EQ(batch[i].bits, replica->grammar().strengthBits(pws[i]))
+        << pws[i];
   }
 }
 

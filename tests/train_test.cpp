@@ -131,10 +131,9 @@ TEST(ShardedTrainer, ScoresBitForBitEqualToSequential) {
   sharded.absorbCounts(
       ShardedTrainer(base, options).countDataset(toDataset(entries)));
 
-  for (const auto pw : {"password1", "Dragon99", "xq31337#z", "iloveyou",
-                        "Sunsh1ne!", "yeknom7", "zzzzzz"}) {
-    EXPECT_EQ(sequential.log2Prob(pw), sharded.log2Prob(pw)) << pw;
-  }
+  // Same counts over the same dictionary: the same artifact, so every
+  // password scores alike.
+  EXPECT_EQ(compileArtifact(sequential), compileArtifact(sharded));
 }
 
 // The trainer parses one way, through a flat dictionary: borrowing an

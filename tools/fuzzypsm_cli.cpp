@@ -3,7 +3,10 @@
 // A grammar file is always a compiled .fpsmb artifact (src/artifact/
 // format.h): `train` writes one, and every command that reads one opens it
 // through GrammarArtifact, so a file that is not an artifact fails with
-// [bad-magic].
+// [bad-magic]. The commands score, sample, enumerate and explain through
+// the mapped file's FlatGrammarView, the same model the serving stack
+// scores with; none rebuilds a pointer grammar, and update-loop and
+// `tenants add` hand the file's bytes to the log as they are.
 //
 //   fuzzypsm train --base BASE.txt --training TRAIN.txt --out GRAMMAR.fpsmb
 //            [--threads N] [--reverse] [--prior P] [--min-base-len N]
@@ -145,7 +148,7 @@
 
 #include "analysis/grammar_lint.h"
 #include "artifact/artifact.h"
-#include "core/explain.h"
+#include "artifact/explain.h"
 #include "core/fuzzy_psm.h"
 #include "core/suggest.h"
 #include "corpus/dataset_reader.h"
@@ -238,14 +241,16 @@ Dataset loadFile(const std::string& path, const char* what) {
   return ds;
 }
 
-FuzzyPsm loadGrammar(const Args& args) {
-  return FuzzyPsm::fromArtifact(
-      *GrammarArtifact::open(args.requiredOption("grammar")));
+/// The --grammar file, mapped and validated. Commands score, sample,
+/// enumerate and explain through its grammar() view, which lives as long
+/// as the returned pointer.
+std::shared_ptr<const GrammarArtifact> loadGrammar(const Args& args) {
+  return GrammarArtifact::open(args.requiredOption("grammar"));
 }
 
-/// The bytes of a grammar file, for GrammarRegistry::addTenant, which
-/// loads them as an artifact and runs the trust gate on them before
-/// anything touches disk.
+/// The bytes of a grammar file, for GrammarRegistry::addTenant and
+/// OnlineUpdater::bootstrap, which load them as an artifact and run the
+/// trust gate on them before anything touches disk.
 std::vector<char> readGrammarBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw IoError("cannot open grammar: " + path);
@@ -335,10 +340,11 @@ int cmdTrain(const Args& args) {
 }
 
 int cmdMeasure(const Args& args) {
-  const FuzzyPsm psm = loadGrammar(args);
+  const auto artifact = loadGrammar(args);
+  const FlatGrammarView& grammar = artifact->grammar();
   Rng rng(std::stoull(args.option("seed", "7")));
   const std::size_t samples = std::stoul(args.option("samples", "20000"));
-  const MonteCarloEstimator mc(psm, samples, rng);
+  const MonteCarloEstimator mc(grammar, samples, rng);
   const BucketThresholds buckets;
 
   auto measure = [&](const std::string& pw) {
@@ -346,8 +352,8 @@ int cmdMeasure(const Args& args) {
       std::printf("%-24s  <invalid password>\n", pw.c_str());
       return;
     }
-    const double bits = psm.strengthBits(pw);
-    const double guesses = mc.guessNumber(psm.log2Prob(pw));
+    const double bits = grammar.strengthBits(pw);
+    const double guesses = mc.guessNumber(grammar.log2Prob(pw));
     std::printf("%-24s %8.2f bits  %-6s  ~%s guesses\n", pw.c_str(), bits,
                 std::string(bucketName(buckets.bucketOf(bits))).c_str(),
                 guesses >= 1e15
@@ -367,12 +373,13 @@ int cmdMeasure(const Args& args) {
 }
 
 int cmdSuggest(const Args& args) {
-  const FuzzyPsm psm = loadGrammar(args);
+  const auto artifact = loadGrammar(args);
   Rng rng(std::stoull(args.option("seed", "7")));
   SuggestionConfig config;
   config.targetBits = std::stod(args.option("target", "40"));
   for (const auto& pw : args.positional) {
-    const auto s = suggestStrongerPassword(psm, pw, config, rng);
+    const auto s =
+        suggestStrongerPassword(artifact->grammar(), pw, config, rng);
     if (s) {
       std::printf("%-24s -> %-24s (%.1f bits, %d edit%s)\n", pw.c_str(),
                   s->password.c_str(), s->bits, s->edits,
@@ -386,25 +393,26 @@ int cmdSuggest(const Args& args) {
 }
 
 int cmdExplain(const Args& args) {
-  const FuzzyPsm psm = loadGrammar(args);
+  const auto artifact = loadGrammar(args);
   for (const auto& pw : args.positional) {
     if (!isValidPassword(pw)) {
       std::printf("%s: <invalid password>\n", pw.c_str());
       continue;
     }
     std::printf("%s:\n%s", pw.c_str(),
-                explainDerivation(psm, pw).render().c_str());
+                explainDerivation(artifact->grammar(), pw).render().c_str());
   }
   return 0;
 }
 
 int cmdGuesses(const Args& args) {
-  const FuzzyPsm psm = loadGrammar(args);
+  const auto artifact = loadGrammar(args);
   const std::uint64_t n = std::stoull(args.option("n", "100"));
-  psm.enumerateGuesses(n, [](std::string_view guess, double lp) {
+  const auto print = [](std::string_view guess, double lp) {
     std::printf("%s\t%.3f\n", std::string(guess).c_str(), lp);
     return true;
-  });
+  };
+  artifact->grammar().enumerateGuesses(n, print);
   return 0;
 }
 
@@ -511,8 +519,8 @@ int runServeBench(const Args& args, const std::string& root) {
     cfg.residentBytesBudget = std::stoull(b);
   }
 
-  // Pool pass: read each tenant's newest generation with a throwaway
-  // mmap + model, scoped so nothing survives into the serving phase.
+  // Pool pass: sample each tenant's newest generation through a throwaway
+  // mmap, scoped so nothing survives into the serving phase.
   std::vector<std::string> ids;
   std::vector<std::vector<std::string>> pools;
   {
@@ -531,10 +539,11 @@ int runServeBench(const Args& args, const std::string& root) {
     }
     const auto artifact =
         GrammarArtifact::open(log.pathFor(log.entries().back().sequence));
-    const FuzzyPsm psm = FuzzyPsm::fromArtifact(*artifact);
     std::vector<std::string> pool;
     pool.reserve(poolSize);
-    for (std::size_t i = 0; i < poolSize; ++i) pool.push_back(psm.sample(rng));
+    for (std::size_t i = 0; i < poolSize; ++i) {
+      pool.push_back(artifact->grammar().sample(rng));
+    }
     pools.push_back(std::move(pool));
   }
 
@@ -851,9 +860,8 @@ int cmdStats(const Args& args) {
   if (!lint.ok()) throw GrammarLintError(std::move(lint));
   std::vector<std::string> pws = args.positional;
   if (pws.empty()) {
-    const FuzzyPsm psm = FuzzyPsm::fromArtifact(*artifact);
     Rng rng(std::stoull(args.option("seed", "7")));
-    for (int i = 0; i < 8; ++i) pws.push_back(psm.sample(rng));
+    for (int i = 0; i < 8; ++i) pws.push_back(artifact->grammar().sample(rng));
   }
   const TenantMeter service(std::move(artifact));
   for (int pass = 0; pass < 2; ++pass) {
@@ -887,7 +895,9 @@ int cmdUpdateLoop(const Args& args) {
 
   std::unique_ptr<OnlineUpdater> updater;
   if (fresh) {
-    updater = OnlineUpdater::bootstrap(loadGrammar(args), dir,
+    const std::vector<char> bytes =
+        readGrammarBytes(args.requiredOption("grammar"));
+    updater = OnlineUpdater::bootstrap(dir, bytes.data(), bytes.size(),
                                        std::move(config));
     std::fprintf(stderr, "bootstrapped %s at sequence %llu\n", dir.c_str(),
                  static_cast<unsigned long long>(updater->stats().lastSequence));
